@@ -1,16 +1,17 @@
 // Shard-scaling bench (ROADMAP item 1): a 256-server estate under one
 // compressed 24h diurnal Azure-like day, simulated two ways:
 //
-//   monolith — one cluster cell of 256 servers behind a single gateway.
-//     Every forward pays an O(instances) backlog scan over all 256
-//     instances, so the single control loop is the wall-clock bottleneck
-//     at trace scale even with a provisioned (above-knee) front-end.
+//   monolith — one cluster cell of 256 servers behind a single gateway,
+//     with a provisioned (above-knee) front-end: one event loop carries
+//     the whole estate.
 //   sharded — 8 cluster cells of 32 servers (per-cluster shards), each
-//     with a private gateway scanning only its own 32 instances, advanced
-//     in lockstep epochs with cross-cell handoffs through the
-//     deterministic mailbox. Both estates carry the same aggregate load
-//     and complete the same work (event counts agree within ~1%), so
-//     events/sec compares equal work.
+//     with a private gateway, advanced in lockstep epochs with cross-cell
+//     handoffs through the deterministic mailbox. Both estates carry the
+//     same aggregate load and complete the same work (event counts agree
+//     within ~1%), so events/sec compares equal work. The gateway reads
+//     its backlog in O(1) in both (Cluster::total_backlog), so the
+//     speedup measures smaller per-cell event heaps and lane parallelism
+//     against the epoch barrier's cost.
 //
 // Reported: aggregate events/sec for the monolith and for every lane
 // count in {1, 2, 4, 8} on the 8-cell topology, the sharded-vs-monolith
@@ -50,9 +51,7 @@ sim::ShardedEngineConfig estate(std::size_t cells, std::size_t servers,
   cfg.threads = threads;
   cfg.remote_fraction = 0.05;
   // Provisioned front-end: lift the Figure-14 knee above both estates so
-  // neither gateway saturates and both complete the same workload. What
-  // remains is the honest asymmetry — every forward pays an O(instances)
-  // backlog scan, 256 instances for the monolith vs 32 per cell.
+  // neither gateway saturates and both complete the same workload.
   cfg.gateway.instance_knee = 4096.0;
   // One compressed "24h" day (wl::AzureTraceConfig::day_seconds = 600);
   // base_qps is per cell, so both estates carry the same aggregate load.

@@ -142,8 +142,10 @@ configure_build "$TSAN_DIR" "-DGSIGHT_SANITIZE=thread"
 # training/inference, incremental models, trainer, campaigns) and the
 # online serving stack (workers, background trainer, snapshot hot swap,
 # fleet routing/drain).
+# scripts/tsan.supp holds the triaged false positives, each with its
+# reason (uninstrumented libstdc++ synchronisation).
 ( cd "$TSAN_DIR" && \
-  TSAN_OPTIONS=halt_on_error=1 \
+  TSAN_OPTIONS="halt_on_error=1 suppressions=$ROOT/scripts/tsan.supp" \
   ctest --output-on-failure -j "$JOBS" \
         -R 'ThreadPool|Forest|Incremental|Trainer|Campaign|Serve|Fleet|Shard|Clon|ProcessorSharing' )
 

@@ -35,8 +35,7 @@
 namespace gsight::serve {
 
 /// All load-shape knobs in one request struct (the validate() pattern of
-/// ClusterSpec/GatewayConfig/FleetRequest); the PR-5 name LoadDriverConfig
-/// remains as a deprecated alias for exactly one PR.
+/// ClusterSpec/GatewayConfig/FleetRequest).
 struct DriverRequest {
   enum class Mode { kOpenLoop, kClosedLoop };
   Mode mode = Mode::kOpenLoop;
@@ -57,11 +56,6 @@ struct DriverRequest {
   /// Throws std::invalid_argument naming the first bad field.
   void validate() const;
 };
-
-/// Transitional alias for the PR-5 name; call sites should construct
-/// DriverRequest. Removed next PR.
-using LoadDriverConfig [[deprecated(
-    "renamed DriverRequest (validate() request pattern)")]] = DriverRequest;
 
 struct LoadOutcome {
   std::size_t submitted = 0;
@@ -103,9 +97,6 @@ class LoadDriver {
   LoadOutcome run_threaded(PredictionFleet& fleet);
 
   const DriverRequest& request() const { return request_; }
-  [[deprecated("renamed request()")]] const DriverRequest& config() const {
-    return request_;
-  }
 
   /// Synthetic ground truth: a fixed smooth function of the features,
   /// so the model actually converges on something under online updates.

@@ -1,3 +1,4 @@
+// gsight-analyze: hot-path
 #include "sim/cluster.hpp"
 
 #include "core/contracts.hpp"
@@ -16,6 +17,13 @@ Cluster::Cluster(Engine* engine, const InterferenceModel* model,
   }
 }
 
+Cluster::~Cluster() {
+  // The run is over: instances may still hold work (a request in flight
+  // at the horizon, an execution aborted for good), and their share of
+  // the backlog dies with the counter.
+  for (auto& [id, inst] : instances_) inst->cluster_backlog_ = nullptr;
+}
+
 Instance* Cluster::create_instance(std::size_t app, std::size_t fn,
                                    const wl::FunctionSpec* spec,
                                    std::size_t server_idx,
@@ -24,7 +32,7 @@ Instance* Cluster::create_instance(std::size_t app, std::size_t fn,
   const std::uint64_t id = next_instance_id_++;
   auto instance = std::make_unique<Instance>(
       id, app, fn, spec, servers_[server_idx].get(), engine_, config,
-      rng_.next());
+      rng_.next(), &backlog_);
   Instance* raw = instance.get();
   instances_.emplace(id, std::move(instance));
   ++created_;
@@ -51,14 +59,6 @@ bool Cluster::destroy_instance(std::uint64_t id) {
 
 void Cluster::set_tracer(obs::Tracer* tracer) {
   for (auto& s : servers_) s->set_tracer(tracer);
-}
-
-std::size_t Cluster::total_backlog() const {
-  std::size_t backlog = 0;
-  for (const auto& [id, inst] : instances_) {
-    backlog += inst->queue_depth() + (inst->busy() ? 1 : 0);
-  }
-  return backlog;
 }
 
 std::vector<Instance*> Cluster::instances() const {

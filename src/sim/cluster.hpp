@@ -16,6 +16,10 @@ class Cluster {
   Cluster(Engine* engine, const InterferenceModel* model,
           std::vector<ServerConfig> servers, ExecSliceSink* sink,
           std::uint64_t seed);
+  ~Cluster();
+
+  Cluster(const Cluster&) = delete;
+  Cluster& operator=(const Cluster&) = delete;
 
   std::size_t size() const { return servers_.size(); }
   Server& server(std::size_t i) { return *servers_.at(i); }
@@ -35,9 +39,11 @@ class Cluster {
   bool destroy_instance(std::uint64_t id);
 
   std::size_t total_instances() const { return instances_.size(); }
-  /// Sum of queued invocations across all instances (the gateway's
-  /// backlog signal).
-  std::size_t total_backlog() const;
+  /// Invocations queued or running across all instances (the gateway's
+  /// backlog signal): the sum of every instance's Instance::backlog().
+  /// O(1) — instances keep the counter current as work arrives, starts,
+  /// finishes and is cancelled.
+  std::size_t total_backlog() const { return backlog_; }
   /// All live instances, ordered by creation (instance id) so callers that
   /// iterate — schedulers, autoscalers, metric sweeps — are
   /// replay-deterministic.
@@ -69,6 +75,9 @@ class Cluster {
   std::uint64_t next_instance_id_ = 1;
   std::uint64_t created_ = 0;
   std::uint64_t destroyed_ = 0;
+  /// Sum of Instance::backlog() over instances_, maintained by the
+  /// instances themselves (Instance::backlog_added/backlog_removed).
+  std::size_t backlog_ = 0;
   stats::Rng rng_;
 };
 

@@ -1,3 +1,4 @@
+// gsight-analyze: hot-path
 #include "sim/engine.hpp"
 
 #include <cmath>

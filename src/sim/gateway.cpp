@@ -1,3 +1,4 @@
+// gsight-analyze: hot-path
 #include "sim/gateway.hpp"
 
 #include <cmath>
@@ -66,8 +67,8 @@ double Gateway::current_service_s() const {
   return config_.base_service_s * backlog_factor * knee;
 }
 
-void Gateway::forward(std::function<void()> deliver) {
-  queue_.push_back({engine_->now(), std::move(deliver)});
+void Gateway::forward(Deliver deliver) {
+  queue_.push_back(Item{engine_->now(), std::move(deliver)});
   if (!busy_) serve_next();
   // Queue-length invariant: while the gateway is busy, the item in service
   // remains at the front, so the queue can never be observed empty.
@@ -84,8 +85,7 @@ void Gateway::serve_next() {
   engine_->after(service, [this] {
     GSIGHT_ASSERT(busy_ && !queue_.empty(),
                   "gateway completion without an item in service");
-    Item item = std::move(queue_.front());
-    queue_.pop_front();
+    Item item = queue_.pop_front();
     const double latency = engine_->now() - item.enqueued;
     latencies_.add(latency);
     ++forwards_;

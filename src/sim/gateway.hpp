@@ -9,12 +9,13 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "sim/engine.hpp"
+#include "sim/inline_function.hpp"
+#include "sim/ring_queue.hpp"
 #include "stats/summary.hpp"
 
 namespace gsight::sim {
@@ -75,10 +76,15 @@ struct GatewayConfig {
 
 class Gateway {
  public:
+  /// 32 bytes hold a request's delivery closure: a RequestRef, the
+  /// call-graph node, the clone index and the forwarding time.
+  using Deliver = InlineFunction<void(), 32>;
+
   Gateway(Engine* engine, GatewayConfig config);
 
   /// Counter of invocations queued at backends; maintained by the
-  /// platform so the gateway can price queue management.
+  /// platform so the gateway can price queue management. Read once per
+  /// forward.
   void set_backend_backlog_source(std::function<std::size_t()> source) {
     backend_backlog_ = std::move(source);
   }
@@ -88,7 +94,7 @@ class Gateway {
 
   /// Accept one invocation; `deliver` runs after the (load-dependent)
   /// forwarding delay.
-  void forward(std::function<void()> deliver);
+  void forward(Deliver deliver);
 
   std::size_t queue_depth() const { return queue_.size(); }
   std::uint64_t forwards() const { return forwards_; }
@@ -115,10 +121,10 @@ class Gateway {
   std::function<std::size_t()> backend_backlog_;
   std::function<std::size_t()> instance_count_;
   struct Item {
-    SimTime enqueued;
-    std::function<void()> deliver;
+    SimTime enqueued = 0.0;
+    Deliver deliver;
   };
-  std::deque<Item> queue_;
+  RingQueue<Item> queue_;
   bool busy_ = false;
   std::uint64_t forwards_ = 0;
   stats::Reservoir latencies_{8192, 0xFACE};

@@ -6,9 +6,10 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <functional>
+#include <vector>
 
+#include "sim/inline_function.hpp"
+#include "sim/ring_queue.hpp"
 #include "sim/server.hpp"
 #include "stats/rng.hpp"
 #include "stats/summary.hpp"
@@ -35,11 +36,17 @@ struct InstanceConfig {
 
 class Instance {
  public:
-  using DoneFn = std::function<void(const InvocationResult&)>;
+  /// 24 bytes hold the request path's completion closures: a RequestRef
+  /// plus the call-graph node and the clone index.
+  using DoneFn = InlineFunction<void(const InvocationResult&), 24>;
 
+  /// `cluster_backlog`, when given, is the owning cluster's backlog
+  /// counter: the instance adds its backlog() to it as that changes, so
+  /// the cluster total is O(1) to read.
   Instance(std::uint64_t id, std::size_t app, std::size_t fn,
            const wl::FunctionSpec* spec, Server* server, Engine* engine,
-           InstanceConfig config, std::uint64_t seed);
+           InstanceConfig config, std::uint64_t seed,
+           std::size_t* cluster_backlog = nullptr);
   ~Instance();
 
   Instance(const Instance&) = delete;
@@ -67,7 +74,13 @@ class Instance {
   bool cancel(std::uint64_t ticket);
 
   std::size_t queue_depth() const { return queue_.size(); }
+  /// True while an invocation runs — and, after Platform::abort_executions
+  /// pulled the execution from under it, for good: no completion ever
+  /// clears it.
   bool busy() const { return busy_; }
+  /// Invocations held here: queued plus the running one. This is the
+  /// instance's share of Cluster::total_backlog().
+  std::size_t backlog() const { return queue_.size() + (busy_ ? 1 : 0); }
   /// True once the instance has served its first invocation (and has
   /// not re-cooled past the idle expiry).
   bool warm() const { return warm_; }
@@ -76,7 +89,7 @@ class Instance {
   /// the owner (Platform's gc) destroys it once `idle()` — an instance
   /// cannot safely self-destruct mid-execution.
   void retire() { retiring_ = true; }
-  bool idle() const { return !busy_ && queue_.empty(); }
+  bool idle() const { return backlog() == 0; }
 
   std::uint64_t invocations() const { return invocations_; }
   std::uint64_t cold_starts() const { return cold_starts_; }
@@ -85,6 +98,8 @@ class Instance {
   const stats::Running& ipc_stats() const { return ipc_stats_; }
 
  private:
+  friend class Cluster;  // detaches cluster_backlog_ at cluster teardown
+
   struct Pending {
     SimTime enqueued = 0.0;
     DoneFn done;
@@ -93,7 +108,12 @@ class Instance {
   };
 
   void start_next();
-  std::vector<wl::Phase> materialize_phases(bool cold, double jitter_override);
+  /// Fill phases_ with the next invocation's phases (startup-prefixed
+  /// when cold, jittered), reusing its elements and their capacity.
+  void materialize_phases(bool cold, double jitter_override);
+  /// Mirror a change of backlog() into the cluster counter.
+  void backlog_added();
+  void backlog_removed();
 
   std::uint64_t id_;
   std::size_t app_;
@@ -104,7 +124,11 @@ class Instance {
   InstanceConfig config_;
   stats::Rng rng_;
 
-  std::deque<Pending> queue_;
+  std::size_t* cluster_backlog_;  ///< null when not owned by a Cluster
+  RingQueue<Pending> queue_;
+  /// The starting invocation's phases, refilled by materialize_phases
+  /// and copied into the server's execution slot.
+  std::vector<wl::Phase> phases_;
   bool busy_ = false;
   bool warm_ = false;
   bool retiring_ = false;

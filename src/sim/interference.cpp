@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "core/contracts.hpp"
+
 namespace gsight::sim {
 
 namespace {
@@ -27,6 +29,16 @@ std::vector<ExecObservation> InterferenceModel::evaluate(
     const ServerConfig& server,
     std::span<const wl::Phase* const> phases) const {
   std::vector<ExecObservation> out(phases.size());
+  evaluate(server, phases, out);
+  return out;
+}
+
+void InterferenceModel::evaluate(const ServerConfig& server,
+                                 std::span<const wl::Phase* const> phases,
+                                 std::span<ExecObservation> out) const {
+  GSIGHT_ASSERT(out.size() == phases.size(),
+                "evaluate needs one output slot per phase");
+  for (auto& ob : out) ob = ExecObservation{};
 
   DemandTotals totals;
   std::size_t active = 0;
@@ -35,7 +47,7 @@ std::vector<ExecObservation> InterferenceModel::evaluate(
     totals.add(p->demand);
     ++active;
   }
-  if (active == 0) return out;
+  if (active == 0) return;
 
   // CPU: time-slicing once demanded cores exceed the node.
   const double cpu_factor = std::max(1.0, totals.cores / server.cores);
@@ -123,13 +135,15 @@ std::vector<ExecObservation> InterferenceModel::evaluate(
     ob.disk_mbps = d.disk_mbps / disk_factor;
     ob.net_mbps = d.net_mbps / net_factor;
   }
-  return out;
 }
 
 ExecObservation InterferenceModel::solo(const ServerConfig& server,
                                         const wl::Phase& p) const {
   const wl::Phase* ptr = &p;
-  return evaluate(server, std::span<const wl::Phase* const>(&ptr, 1))[0];
+  ExecObservation ob;
+  evaluate(server, std::span<const wl::Phase* const>(&ptr, 1),
+           std::span<ExecObservation>(&ob, 1));
+  return ob;
 }
 
 }  // namespace gsight::sim

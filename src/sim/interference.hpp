@@ -66,8 +66,14 @@ class InterferenceModel {
   explicit InterferenceModel(InterferenceParams params = {})
       : params_(params) {}
 
-  /// Evaluate all colocated phases on a node at once. `phases[i]` may be
-  /// null for idle slots (skipped; result left default).
+  /// Evaluate all colocated phases on a node at once, writing out[i] for
+  /// phases[i] (the spans must have equal sizes). `phases[i]` may be null
+  /// for idle slots (skipped; result reset to default). Allocation-free:
+  /// Server::recompute passes buffers it reuses on every call.
+  void evaluate(const ServerConfig& server,
+                std::span<const wl::Phase* const> phases,
+                std::span<ExecObservation> out) const;
+  /// Convenience form returning a fresh vector.
   std::vector<ExecObservation> evaluate(
       const ServerConfig& server,
       std::span<const wl::Phase* const> phases) const;

@@ -300,13 +300,18 @@ void Platform::schedule_next_arrival(std::size_t app, double rate_cap,
   // Thinned Poisson process: candidate arrivals at `rate_cap`, accepted
   // with probability rate(now)/rate_cap.
   const double gap = rng_.exponential(rate_cap);
-  engine_.after(gap, [this, app, rate_cap, rate, generation] {
+  // The event fires once, so the rate function moves on to the next
+  // arrival instead of being copied.
+  auto arrive = [this, app, rate_cap, rate = std::move(rate),
+                 generation]() mutable {
     DeployedApp& d = *apps_.at(app);
     if (d.load_generation != generation) return;  // load was changed
     const double r = rate(engine_.now());
     if (r > 0.0 && rng_.uniform() < r / rate_cap) issue_request(app);
-    schedule_next_arrival(app, rate_cap, rate, generation);
-  });
+    schedule_next_arrival(app, rate_cap, std::move(rate), generation);
+  };
+  static_assert(EventQueue::Callback::stores_inline<decltype(arrive)>);
+  engine_.after(gap, std::move(arrive));
 }
 
 void Platform::set_open_loop(std::size_t app, double qps) {
@@ -337,7 +342,7 @@ std::size_t Platform::queued_invocations(std::size_t app,
                                          std::size_t fn) const {
   std::size_t n = 0;
   for (const Instance* inst : apps_.at(app)->replicas.at(fn)) {
-    n += inst->queue_depth() + (inst->busy() ? 1 : 0);
+    n += inst->backlog();
   }
   return n;
 }

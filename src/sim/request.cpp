@@ -99,11 +99,12 @@ void RequestContext::invoke(std::size_t node,
     state.clone_jitter = router_->clone_jitter(app_index_, node);
   }
   for (std::size_t c = 0; c < d; ++c) {
-    RequestRef self(this);
-    const SimTime forwarded = engine_->now();
-    gateway_->forward([self, node, c, forwarded] {
+    auto deliver = [self = RequestRef(this), node, c,
+                    forwarded = engine_->now()] {
       self->deliver_clone(node, c, forwarded);
-    });
+    };
+    static_assert(Gateway::Deliver::stores_inline<decltype(deliver)>);
+    gateway_->forward(std::move(deliver));
   }
 }
 
@@ -160,20 +161,22 @@ void RequestContext::deliver_clone(std::size_t node, std::size_t c,
           obs::json_number(static_cast<double>(instance->server().id()))}});
   }
   state.clones[c].instance = instance;
-  RequestRef self(this);
   if (state.clones_expected <= 1) {
-    state.clones[c].ticket =
-        instance->submit([self, node](const InvocationResult& r) {
-          self->nodes_[node].clones[0].ticket = 0;
-          self->on_exec_done(node, r);
-        });
+    auto done = [self = RequestRef(this), node](const InvocationResult& r) {
+      self->nodes_[node].clones[0].ticket = 0;
+      self->on_exec_done(node, r);
+    };
+    static_assert(Instance::DoneFn::stores_inline<decltype(done)>);
+    state.clones[c].ticket = instance->submit(std::move(done));
   } else {
     ++clones_dispatched_;
-    state.clones[c].ticket = instance->submit(
-        [self, node, c](const InvocationResult& r) {
-          self->on_clone_done(node, c, r);
-        },
-        state.clone_jitter);
+    auto done = [self = RequestRef(this), node,
+                 c](const InvocationResult& r) {
+      self->on_clone_done(node, c, r);
+    };
+    static_assert(Instance::DoneFn::stores_inline<decltype(done)>);
+    state.clones[c].ticket =
+        instance->submit(std::move(done), state.clone_jitter);
   }
 }
 

@@ -103,9 +103,11 @@ class RequestContext;
 class RequestPool;
 
 /// Intrusive refcounted handle to a pooled RequestContext. Copyable (the
-/// gateway/instance callbacks that capture it must be, to live inside
-/// std::function); the context returns to its pool when the last ref
-/// dies. Single-threaded by design, like the engine it serves.
+/// platform's tracked-request table keeps one beside the callbacks'),
+/// and nothrow-movable so the gateway/instance callbacks that capture it
+/// stay inline (sim::InlineFunction); the context returns to its pool
+/// when the last ref dies. Single-threaded by design, like the engine it
+/// serves.
 class RequestRef {
  public:
   RequestRef() = default;

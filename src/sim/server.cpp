@@ -1,7 +1,9 @@
 // gsight-analyze: hot-path
 #include "sim/server.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <cstddef>
 
 #include "core/contracts.hpp"
 #include "obs/json.hpp"
@@ -30,50 +32,80 @@ void Server::remove_resident(double mem_gb) {
   --resident_count_;
 }
 
-ExecId Server::begin_execution(std::vector<wl::Phase> phases,
+ExecId Server::begin_execution(const std::vector<wl::Phase>& phases,
                                CompletionFn on_complete, void* owner) {
   GSIGHT_ASSERT(!phases.empty(), "execution needs at least one phase");
-  Exec e;
+  std::uint32_t slot;
+  if (!free_slots_.empty()) {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+  } else {
+    slot = static_cast<std::uint32_t>(slots_.size());
+    slots_.emplace_back();
+  }
+  Exec& e = slots_[slot];
+  // A fresh Exec, except that it keeps the slot's phase buffer.
+  std::vector<wl::Phase> buffer = std::move(e.phases);
+  e = Exec{};
+  e.phases = std::move(buffer);
+  e.phases.assign(phases.begin(), phases.end());
   e.id = next_id_++;
-  e.phases = std::move(phases);
   e.remaining = e.phases[0].solo_duration_s;
   e.last_update = engine_->now();
   e.started = engine_->now();
   e.on_complete = std::move(on_complete);
   e.owner = owner;
   const ExecId id = e.id;
-  execs_.emplace(id, std::move(e));
+  active_.push_back(slot);
   recompute();
   return id;
 }
 
+std::size_t Server::find(ExecId id) const {
+  const auto it = std::lower_bound(
+      active_.begin(), active_.end(), id,
+      [this](std::uint32_t slot, ExecId v) { return slots_[slot].id < v; });
+  if (it == active_.end() || slots_[*it].id != id) return active_.size();
+  return static_cast<std::size_t>(it - active_.begin());
+}
+
+void Server::release(std::size_t pos) {
+  const std::uint32_t slot = active_[pos];
+  // Destroys an unfired completion closure (abort), releasing what it
+  // captured; a fired one was already moved out.
+  slots_[slot].on_complete = nullptr;
+  active_.erase(active_.begin() + static_cast<std::ptrdiff_t>(pos));
+  free_slots_.push_back(slot);
+}
+
 bool Server::abort_execution(ExecId id) {
-  const auto it = execs_.find(id);
-  if (it == execs_.end()) return false;
+  const std::size_t pos = find(id);
+  if (pos == active_.size()) return false;
   if (sink_ != nullptr) {
-    sink_->on_exec_aborted(it->second.owner, engine_->now());
+    sink_->on_exec_aborted(slots_[active_[pos]].owner, engine_->now());
   }
-  execs_.erase(it);
+  release(pos);
   recompute();
   return true;
 }
 
 std::vector<ExecId> Server::executions_of(const void* owner) const {
   std::vector<ExecId> out;
-  for (const auto& [id, e] : execs_) {
-    if (e.owner == owner) out.push_back(id);
+  for (const std::uint32_t slot : active_) {
+    if (slots_[slot].owner == owner) out.push_back(slots_[slot].id);
   }
   return out;
 }
 
 const ExecObservation* Server::observation(ExecId id) const {
-  const auto it = execs_.find(id);
-  return it == execs_.end() ? nullptr : &it->second.obs;
+  const std::size_t pos = find(id);
+  return pos == active_.size() ? nullptr : &slots_[active_[pos]].obs;
 }
 
 DemandTotals Server::active_demand() const {
   DemandTotals totals;
-  for (const auto& [id, e] : execs_) {
+  for (const std::uint32_t slot : active_) {
+    const Exec& e = slots_[slot];
     totals.add(e.phases[e.phase_idx].demand);
   }
   return totals;
@@ -81,7 +113,8 @@ DemandTotals Server::active_demand() const {
 
 double Server::cpu_utilization() const {
   double granted = 0.0;
-  for (const auto& [id, e] : execs_) {
+  for (const std::uint32_t slot : active_) {
+    const Exec& e = slots_[slot];
     granted += e.phases[e.phase_idx].demand.cores * e.obs.cpu_share;
   }
   return granted / config_.cores;
@@ -90,7 +123,8 @@ double Server::cpu_utilization() const {
 void Server::recompute() {
   const SimTime now = engine_->now();
   // 1. Bank progress under the rates that were in force.
-  for (auto& [id, e] : execs_) {
+  for (const std::uint32_t slot : active_) {
+    Exec& e = slots_[slot];
     const double dt = now - e.last_update;
     GSIGHT_INVARIANT(dt >= 0.0, "execution progressed backwards in time");
     if (dt > 0.0) {
@@ -104,29 +138,26 @@ void Server::recompute() {
     e.last_update = now;
   }
   // 2. Re-evaluate the colocation.
-  std::vector<const wl::Phase*> phases;
-  std::vector<Exec*> order;
-  phases.reserve(execs_.size());
-  order.reserve(execs_.size());
-  for (auto& [id, e] : execs_) {
-    phases.push_back(&e.phases[e.phase_idx]);
-    order.push_back(&e);
+  const std::size_t n = active_.size();
+  colocation_.clear();
+  for (const std::uint32_t slot : active_) {
+    const Exec& e = slots_[slot];
+    colocation_.push_back(&e.phases[e.phase_idx]);
   }
-  const auto observations = model_->evaluate(config_, phases);
+  observations_.resize(n);
+  model_->evaluate(config_, colocation_, observations_);
   // 3. Apply new rates and reschedule completions. Under processor
   // sharing each execution is additionally capped to an equal share of
   // the cores: the interference model splits CPU time proportionally to
   // demand, so the egalitarian discipline is a further fair-share factor
   // on executions demanding more than cores/n.
-  const double fair_cores = (config_.discipline ==
-                                 ServiceDiscipline::kProcessorSharing &&
-                             !order.empty())
-                                ? config_.cores / static_cast<double>(
-                                                      order.size())
-                                : 0.0;
-  for (std::size_t i = 0; i < order.size(); ++i) {
-    Exec& e = *order[i];
-    e.obs = observations[i];
+  const double fair_cores =
+      (config_.discipline == ServiceDiscipline::kProcessorSharing && n > 0)
+          ? config_.cores / static_cast<double>(n)
+          : 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    Exec& e = slots_[active_[i]];
+    e.obs = observations_[i];
     e.rate = std::max(e.obs.rate, 1e-9);
     if (fair_cores > 0.0) {
       const double want = e.phases[e.phase_idx].demand.cores;
@@ -145,13 +176,17 @@ void Server::schedule_completion(Exec& e) {
   const double eta = e.remaining / e.rate;
   const ExecId id = e.id;
   const std::uint64_t gen = e.gen;
-  engine_->after(eta, [this, id, gen] { on_phase_event(id, gen); });
+  auto fire = [this, id, gen] { on_phase_event(id, gen); };
+  static_assert(EventQueue::Callback::stores_inline<decltype(fire)>);
+  engine_->after(eta, std::move(fire));
 }
 
 void Server::on_phase_event(ExecId id, std::uint64_t gen) {
-  const auto it = execs_.find(id);
-  if (it == execs_.end() || it->second.gen != gen) return;  // stale event
-  Exec& e = it->second;
+  const std::size_t pos = find(id);
+  // Stale event: the execution finished or was aborted, or a recompute
+  // rescheduled it. It still fires (and counts as an engine event).
+  if (pos == active_.size() || slots_[active_[pos]].gen != gen) return;
+  Exec& e = slots_[active_[pos]];
   const SimTime now = engine_->now();
   // Bank the final slice of this phase.
   const double dt = now - e.last_update;
@@ -187,7 +222,7 @@ void Server::on_phase_event(ExecId id, std::uint64_t gen) {
          {"ipc", obs::json_number(result.mean_ipc)}});
   }
   CompletionFn on_complete = std::move(e.on_complete);
-  execs_.erase(it);
+  release(pos);
   recompute();
   if (on_complete) on_complete(result);
 }

@@ -7,12 +7,11 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <map>
 #include <vector>
 
 #include "obs/trace.hpp"
 #include "sim/engine.hpp"
+#include "sim/inline_function.hpp"
 #include "sim/interference.hpp"
 #include "sim/resources.hpp"
 #include "workloads/function_spec.hpp"
@@ -57,17 +56,20 @@ class Server {
   std::size_t id() const { return id_; }
   const ServerConfig& config() const { return config_; }
 
-  using CompletionFn = std::function<void(const ExecResult&)>;
+  /// 56 bytes hold Instance's completion closure: the instance, the
+  /// queue wait, the cold flag and the invocation's DoneFn.
+  using CompletionFn = InlineFunction<void(const ExecResult&), 56>;
 
-  /// Start executing `phases` (already jittered / startup-prefixed).
-  /// `owner` is an opaque tag passed to the slice sink (the Instance).
-  ExecId begin_execution(std::vector<wl::Phase> phases, CompletionFn on_complete,
-                         void* owner = nullptr);
+  /// Start executing `phases` (already jittered / startup-prefixed). The
+  /// phases are copied into the execution's reused buffer. `owner` is an
+  /// opaque tag passed to the slice sink (the Instance).
+  ExecId begin_execution(const std::vector<wl::Phase>& phases,
+                         CompletionFn on_complete, void* owner = nullptr);
   /// Abort a running execution (migration / scale-down); no completion
   /// callback fires. Returns false if the id is not active.
   bool abort_execution(ExecId id);
 
-  std::size_t active_count() const { return execs_.size(); }
+  std::size_t active_count() const { return active_.size(); }
   /// Ids of active executions started with the given owner tag.
   std::vector<ExecId> executions_of(const void* owner) const;
   /// Observation currently in force for an active execution (nullptr when
@@ -95,6 +97,8 @@ class Server {
  private:
   struct Exec {
     ExecId id = 0;
+    /// Reused across the executions that occupy this slot: assign()
+    /// keeps the capacity, and phase names fit the small-string buffer.
     std::vector<wl::Phase> phases;
     std::size_t phase_idx = 0;
     double remaining = 0.0;  ///< solo-seconds left in the current phase
@@ -114,6 +118,12 @@ class Server {
   void recompute();
   void schedule_completion(Exec& e);
   void on_phase_event(ExecId id, std::uint64_t gen);
+  /// Position of execution `id` in active_, or active_.size() when the
+  /// id is not running.
+  std::size_t find(ExecId id) const;
+  /// Drop active_[pos]; its slot (and the slot's phase buffer) is reused
+  /// by a later begin_execution.
+  void release(std::size_t pos);
 
   std::size_t id_;
   ServerConfig config_;
@@ -121,11 +131,18 @@ class Server {
   const InterferenceModel* model_;
   ExecSliceSink* sink_ = nullptr;
   obs::Tracer* tracer_ = nullptr;
-  // Ordered by ExecId (= start order) so every iteration — in particular
-  // the colocation vector handed to the interference model in recompute()
-  // — is replay-deterministic. An unordered_map here would make rates
-  // depend on hash-table layout.
-  std::map<ExecId, Exec> execs_;
+  // Executions live in reused slots; active_ lists the running ones'
+  // slot indices ordered by ExecId (= start order), so every iteration —
+  // in particular the colocation handed to the interference model in
+  // recompute() — is replay-deterministic. Starting an execution appends
+  // (ids only grow) and finishing one erases in place, so the order
+  // holds without sorting.
+  std::vector<Exec> slots_;
+  std::vector<std::uint32_t> active_;
+  std::vector<std::uint32_t> free_slots_;
+  // recompute()'s colocation and its observations, reused every call.
+  std::vector<const wl::Phase*> colocation_;
+  std::vector<ExecObservation> observations_;
   ExecId next_id_ = 1;
   ResourceLedger resident_mem_;
   std::size_t resident_count_ = 0;

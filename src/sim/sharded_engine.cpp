@@ -80,9 +80,9 @@ void ShardedEngine::exchange_at_barrier(SimTime barrier) {
     // validate()); the max() guards the exact-equality float edge so a
     // delivery never lands behind the destination clock.
     const SimTime when = std::max(msg.deliver_at, barrier);
-    dest->engine().at(when, [dest, apply = std::move(msg.apply)] {
-      apply(*dest);
-    });
+    auto deliver = [dest, apply = std::move(msg.apply)] { apply(*dest); };
+    static_assert(EventQueue::Callback::stores_inline<decltype(deliver)>);
+    dest->engine().at(when, std::move(deliver));
   }
 }
 
