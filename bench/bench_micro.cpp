@@ -142,6 +142,51 @@ void BM_ForestTrainColumnar(benchmark::State& state) {
                  2580);
 }
 BENCHMARK(BM_ForestTrainColumnar)->Unit(benchmark::kMillisecond);
+// Overlap codes shaped like the study's: each scenario fills 2-3 of the
+// encoder's 10 workload slots, so most of the 2 580 columns are constant
+// over the whole training set (the columnar trainer skips those).
+ml::Dataset overlap_coded_train_data(std::size_t rows, stats::Rng& rng) {
+  const core::Encoder encoder{core::EncoderConfig{}};
+  std::vector<prof::AppProfile> apps;
+  for (const std::size_t fns : {9, 3, 5, 4}) {
+    apps.push_back(synthetic_profile(fns, rng));
+  }
+  ml::Dataset data(encoder.dimension());
+  for (std::size_t i = 0; i < rows; ++i) {
+    core::Scenario s;
+    s.servers = encoder.config().servers;
+    const std::size_t live = 2 + rng.uniform_index(2);
+    for (std::size_t w = 0; w < live; ++w) {
+      core::WorkloadDeployment d;
+      d.profile = &apps[w == 0 ? 0 : 1 + rng.uniform_index(apps.size() - 1)];
+      for (std::size_t f = 0; f < d.profile->functions.size(); ++f) {
+        d.fn_to_server.push_back(rng.uniform_index(s.servers));
+      }
+      if (w > 0) {
+        d.start_delay_s = rng.uniform(0.0, 30.0);
+        d.lifetime_s = rng.uniform(60.0, 120.0);
+      }
+      s.workloads.push_back(std::move(d));
+    }
+    data.add(encoder.encode(s), rng.uniform());
+  }
+  return data;
+}
+
+void BM_ForestTrainOverlapCoded(benchmark::State& state) {
+  stats::Rng data_rng(7);
+  const auto data = overlap_coded_train_data(500, data_rng);
+  const auto cfg =
+      deployed_forest_config(ml::SplitMode::kRandom, ml::TreeKernel::kColumnar);
+  std::uint64_t seed = 11;
+  for (auto _ : state) {
+    ml::RandomForestRegressor forest(cfg);
+    stats::Rng rng(seed++);
+    forest.fit(data, rng);
+    benchmark::DoNotOptimize(forest.tree_count());
+  }
+}
+BENCHMARK(BM_ForestTrainOverlapCoded)->Unit(benchmark::kMillisecond);
 void BM_ForestTrainBestLegacy(benchmark::State& state) {
   BM_ForestTrain(state, ml::SplitMode::kBest, ml::TreeKernel::kLegacy, 256);
 }

@@ -15,7 +15,8 @@
 #   5. bench smoke: run bench_micro with RunReport enabled and validate
 #      the emitted BENCH_micro.json with tools/bench_schema_check
 #   5b. model kernels: legacy-vs-columnar forest train and predict
-#      benchmarks, the SIMD-blocked traversal variants
+#      benchmarks (plus BM_ForestTrainOverlapCoded, training on
+#      study-shaped overlap codes), the SIMD-blocked traversal variants
 #      (BM_ForestPredictSimd*), and the serving-layer inference kernels
 #      under GSIGHT_THREADS=1, schema-checked like any bench; prints the
 #      batched-vs-legacy inference speedup from the RunReport
@@ -47,6 +48,8 @@
 #
 # Each stage gets its own build tree under build-check/ so the developer's
 # main build/ directory is never clobbered. Warnings are errors everywhere.
+# On exit, pass or fail, a summary lists every stage that was skipped and
+# why, so a gate that did not run cannot pass for one that did.
 #
 # Usage: scripts/check.sh [--fast]
 #   --fast  skip the sanitizer stages (static analysis stages 1-2c only)
@@ -58,6 +61,25 @@ FAST=0
 [[ "${1:-}" == "--fast" ]] && FAST=1
 
 banner() { printf '\n=== %s ===\n' "$*"; }
+
+# Stages that did not run, one "<stage>: <reason>" each.
+SKIPPED=()
+skip() {
+  echo "skipping: $2"
+  SKIPPED+=("$1: $2")
+}
+summary() {
+  local status=$?
+  banner "summary"
+  if [[ ${#SKIPPED[@]} -eq 0 ]]; then
+    echo "no stage skipped"
+  else
+    echo "${#SKIPPED[@]} stage(s) skipped:"
+    printf '  - %s\n' "${SKIPPED[@]}"
+  fi
+  [[ $status -eq 0 ]] || echo "check.sh failed (exit $status)"
+}
+trap summary EXIT
 
 configure_build() {
   # configure_build <dir> <extra cmake args...>
@@ -89,7 +111,7 @@ if command -v clang-tidy > /dev/null 2>&1; then
   clang-tidy -p "$LINT_DIR/compile_commands.json" --quiet \
     -warnings-as-errors='*' "${TIDY_SOURCES[@]}"
 else
-  echo "clang-tidy not installed; skipping (config: .clang-tidy)"
+  skip "2 clang-tidy" "clang-tidy not installed (config: .clang-tidy)"
 fi
 
 # --- 2b. gsight_analyze ----------------------------------------------------
@@ -116,12 +138,13 @@ if command -v clang++ > /dev/null 2>&1; then
     || { tail -n 60 "$TSAFE_DIR.build.log"; exit 1; }
   echo "clang thread-safety build clean"
 else
-  echo "clang++ not installed; skipping (the gsight_analyze lock-discipline"
-  echo "pass above still enforces annotation coverage)"
+  skip "2c clang -Wthread-safety build" \
+    "clang++ not installed (the gsight_analyze lock-discipline pass above still checks annotation coverage)"
 fi
 
 if [[ "$FAST" == "1" ]]; then
   banner "--fast: skipping sanitizer stages"
+  skip "3-7b sanitizers, bench smoke, perf guard, twin runs" "--fast"
   exit 0
 fi
 
@@ -220,7 +243,8 @@ if [[ -f "$BASELINE" ]]; then
     exit (ratio <= 1.25 ? 0 : 1)
   }' || { echo "perf guard: batched forest inference regressed > 1.25x"; exit 1; }
 else
-  echo "bench/BENCH_micro_baseline.json not committed; skipping perf guard"
+  skip "5c forest-inference perf guard" \
+    "bench/BENCH_micro_baseline.json not committed"
 fi
 
 # --- 6. Campaign equivalence -----------------------------------------------

@@ -9,11 +9,13 @@ void ColumnStore::sync(const Matrix& features) {
   if (features_ != features.cols() || rows_synced_ > features.rows()) {
     flat_.clear();
     features_ = features.cols();
+    constant_.assign(features_, 1);
     stride_ = 0;
     rows_synced_ = 0;
   }
+  const std::size_t begin = rows_synced_;
   const std::size_t end = features.rows();
-  if (rows_synced_ == end || features_ == 0) return;
+  if (begin == end || features_ == 0) return;
   if (end > stride_) {
     // Geometric growth keeps appends amortised O(1) per element: columns
     // are re-packed at the wider stride only when the capacity doubles.
@@ -26,10 +28,30 @@ void ColumnStore::sync(const Matrix& features) {
     flat_ = std::move(wider);
     stride_ = new_stride;
   }
-  for (std::size_t r = rows_synced_; r < end; ++r) {
-    const auto row = features.row(r);
+  // Blocked transpose: each pass over a block of source rows writes every
+  // column a contiguous run while the block's rows stay cached (row by
+  // row, every value would be a write to a different column's line).
+  constexpr std::size_t kBlockRows = 16;
+  const double* src = features.flat().data();
+  for (std::size_t r0 = begin; r0 < end; r0 += kBlockRows) {
+    const std::size_t r1 = std::min(end, r0 + kBlockRows);
     for (std::size_t f = 0; f < features_; ++f) {
-      flat_[f * stride_ + r] = row[f];
+      double* dst = flat_.data() + f * stride_;
+      for (std::size_t r = r0; r < r1; ++r) dst[r] = src[r * features_ + f];
+    }
+  }
+  // Constant flags in a separate column-wise pass (folding the compare
+  // into the transpose slows it): only columns still flagged are scanned,
+  // only over the new rows, each up to its first differing value.
+  for (std::size_t f = 0; f < features_; ++f) {
+    if (constant_[f] == 0) continue;
+    const double* col = flat_.data() + f * stride_;
+    const double first = col[0];
+    for (std::size_t r = begin; r < end; ++r) {
+      if (!(col[r] == first)) {  // also true for any NaN
+        constant_[f] = 0;
+        break;
+      }
     }
   }
   rows_synced_ = end;

@@ -30,6 +30,11 @@ class ColumnStore {
   std::span<const double> column(std::size_t f) const {
     return {flat_.data() + f * stride_, rows_synced_};
   }
+  /// True while every synced value of column `f` compares equal (==) to
+  /// the column's first value: vacuously true with no rows, never true
+  /// once the column holds a NaN, and true for a mix of +0.0 and -0.0.
+  /// Tree training skips such columns — no split can separate its rows.
+  bool constant(std::size_t f) const { return constant_[f] != 0; }
 
   /// Mirror `features` exactly: appends rows [rows(), features.rows());
   /// rebuilds from scratch only if the source shrank or changed width.
@@ -37,6 +42,7 @@ class ColumnStore {
 
  private:
   std::vector<double> flat_;      // features_ columns, each stride_ long
+  std::vector<char> constant_;    // per column; see constant()
   std::size_t features_ = 0;
   std::size_t stride_ = 0;        // per-column row capacity
   std::size_t rows_synced_ = 0;

@@ -134,7 +134,9 @@ SplitCandidate random_split_for_feature(const Dataset& data,
 // per-node gather+sort is replaced by the presorted lists. Above
 // kPresortMaxFeatures the lists would dominate memory (d·n indices), so
 // wide-feature kBest trees fall back to a per-node columnar gather+sort —
-// same values, same comparator, still column-strided reads.
+// same values, same comparator, still column-strided reads. Columns the
+// ColumnStore flags constant are never scanned: every split path would
+// return no candidate for them before any RNG draw.
 class ColumnarBuilder {
  public:
   using Node = DecisionTreeRegressor::Node;
@@ -462,6 +464,13 @@ class ColumnarBuilder {
 
     SplitCandidate best;
     rng_.sample_without_replacement(d, k, feature_sample_);
+    // A column constant over the whole dataset is constant at every node,
+    // and every split path returns no candidate for it before drawing
+    // from the RNG (kRandom on lo == hi, kBest on equal first and last
+    // sorted values). Dropping it keeps the survivors' order, so the
+    // strict-> winner, the draws and the tree are unchanged.
+    std::erase_if(feature_sample_,
+                  [&](std::size_t f) { return cols_.constant(f); });
     for (std::size_t c = 0; c < feature_sample_.size(); ++c) {
       const std::size_t f = feature_sample_[c];
       SplitCandidate cand;
@@ -695,21 +704,59 @@ void DecisionTreeRegressor::save(std::ostream& out) const {
 }
 
 void DecisionTreeRegressor::load(std::istream& in) {
+  // Parse into locals and check the links before committing anything:
+  // inference flattens the node array by following child links, so a
+  // body that is not a tree must fail here, not index out of bounds
+  // there.
   std::string tag;
   std::size_t node_count = 0, feature_count = 0;
   if (!(in >> tag >> node_count >> feature_count) || tag != "tree") {
     throw std::runtime_error("tree parse error: header");
   }
-  nodes_.assign(node_count, Node{});
-  for (Node& n : nodes_) {
+  if (node_count > kMaxNodes) {
+    throw std::runtime_error("tree parse error: implausible node count");
+  }
+  if (feature_count > kMaxFeatures) {
+    throw std::runtime_error("tree parse error: implausible feature count");
+  }
+  std::vector<Node> nodes;
+  for (std::size_t i = 0; i < node_count; ++i) {
+    Node n;
     if (!(in >> n.feature >> n.threshold >> n.left >> n.right >> n.value)) {
       throw std::runtime_error("tree parse error: node");
     }
+    nodes.push_back(n);
   }
-  importance_.assign(feature_count, 0.0);
-  for (double& v : importance_) {
+  std::vector<double> importance(feature_count, 0.0);
+  for (double& v : importance) {
     if (!(in >> v)) throw std::runtime_error("tree parse error: importance");
   }
+  // Children lie strictly after their parent and every non-root node has
+  // exactly one parent, so following parents from any node ends at the
+  // root: the links form one tree.
+  std::vector<char> parents(node_count, 0);
+  for (std::size_t i = 0; i < node_count; ++i) {
+    const Node& n = nodes[i];
+    if (n.feature == Node::kLeaf) continue;
+    if (n.feature >= feature_count) {
+      throw std::runtime_error("tree parse error: feature out of range");
+    }
+    for (const std::uint32_t child : {n.left, n.right}) {
+      if (child <= i || child >= node_count) {
+        throw std::runtime_error("tree parse error: child out of range");
+      }
+      if (++parents[child] > 1) {
+        throw std::runtime_error("tree parse error: shared child");
+      }
+    }
+  }
+  for (std::size_t i = 1; i < node_count; ++i) {
+    if (parents[i] == 0) {
+      throw std::runtime_error("tree parse error: unreachable node");
+    }
+  }
+  nodes_ = std::move(nodes);
+  importance_ = std::move(importance);
 }
 
 }  // namespace gsight::ml

@@ -79,8 +79,17 @@ class DecisionTreeRegressor {
   /// (unnormalised impurity importance).
   const std::vector<double>& importance() const { return importance_; }
 
+  /// Bounds load() enforces before it allocates for a header's counts.
+  static constexpr std::size_t kMaxNodes = std::size_t{1} << 24;
+  static constexpr std::size_t kMaxFeatures = 1000000;
+
   /// Serialise / restore the fitted tree (line-oriented text; see
-  /// ml/forest_io.hpp). Throws std::runtime_error on malformed input.
+  /// ml/forest_io.hpp). load() throws std::runtime_error on malformed
+  /// input and then leaves the tree unchanged. Besides parse errors it
+  /// rejects a body that is not a tree: an internal node whose feature is
+  /// not below the importance length, a child outside (node, node_count),
+  /// or a non-root node that is not the child of exactly one internal
+  /// node.
   void save(std::ostream& out) const;
   void load(std::istream& in);
 

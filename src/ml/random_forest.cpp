@@ -189,7 +189,8 @@ void RandomForestRegressor::save(std::ostream& out) const {
 
 void RandomForestRegressor::load(std::istream& in) {
   // Parse into locals and validate before committing anything: a header
-  // that fails validation must not leave the forest half-mutated.
+  // or tree body that fails validation must not leave the forest
+  // half-mutated.
   std::string tag;
   std::size_t tree_count = 0;
   std::size_t feature_count = 0;
@@ -203,13 +204,12 @@ void RandomForestRegressor::load(std::istream& in) {
     throw std::runtime_error("forest parse error: header");
   }
   // Bounds checks: a corrupt or hostile header must fail cleanly, not
-  // drive a multi-gigabyte trees_.assign or an out-of-range enum.
+  // drive a multi-gigabyte allocation or an out-of-range enum.
   constexpr std::size_t kMaxTrees = 100000;
-  constexpr std::size_t kMaxFeatures = 1000000;
   if (tree_count > kMaxTrees || config.n_trees > kMaxTrees) {
     throw std::runtime_error("forest parse error: implausible tree count");
   }
-  if (feature_count > kMaxFeatures) {
+  if (feature_count > DecisionTreeRegressor::kMaxFeatures) {
     throw std::runtime_error("forest parse error: implausible feature count");
   }
   if (!std::isfinite(config.bootstrap_fraction) ||
@@ -227,10 +227,23 @@ void RandomForestRegressor::load(std::istream& in) {
   }
   config.tree.split_mode = static_cast<SplitMode>(split_mode);
   config.threads = config_.threads;  // runtime knob, not persisted
+  // DecisionTreeRegressor::load checks each body's links; the forest
+  // adds that every tree has nodes and the header's feature count.
+  std::vector<DecisionTreeRegressor> trees(tree_count,
+                                           DecisionTreeRegressor(config.tree));
+  for (auto& tree : trees) {
+    tree.load(in);
+    if (!tree.fitted()) {
+      throw std::runtime_error("forest parse error: empty tree");
+    }
+    if (tree.importance().size() != feature_count) {
+      throw std::runtime_error(
+          "forest parse error: tree feature count mismatch");
+    }
+  }
   config_ = config;
   feature_count_ = feature_count;
-  trees_.assign(tree_count, DecisionTreeRegressor(config_.tree));
-  for (auto& tree : trees_) tree.load(in);
+  trees_ = std::move(trees);
   rebuild_flat();
 }
 

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <span>
 #include <sstream>
 #include <vector>
@@ -157,6 +158,110 @@ TEST(ForestEquivalence, IncrementalRefreshesStayBitIdentical) {
     EXPECT_EQ(dump(legacy.forest()), dump(fast.forest())) << "round " << round;
   }
 }
+
+// --- Constant columns ------------------------------------------------------
+// The columnar kernel skips features whose column is constant over the
+// training set (ColumnStore::constant); the legacy kernel scans them and
+// finds no split. Dumps and RNG streams must still agree on data built
+// from the cases the skip has to get right.
+
+// Columns: 0 all zero, 1 constant 3.5, 2 a mix of +0.0 and -0.0, 3
+// quantised with one NaN (never constant), 4 constant 2.0 until a batch
+// built with `late_varies`, 5-8 informative, the rest all zero padding
+// (as in the overlap code's empty workload slots).
+Dataset constant_heavy_data(std::size_t n, std::size_t dims, bool late_varies,
+                            bool with_nan, stats::Rng& rng) {
+  Dataset d(dims);
+  std::vector<double> x(dims, 0.0);
+  for (std::size_t i = 0; i < n; ++i) {
+    std::fill(x.begin(), x.end(), 0.0);
+    x[1] = 3.5;
+    x[2] = rng.uniform_index(2) == 0 ? 0.0 : -0.0;
+    x[3] = with_nan && i == 7 ? std::numeric_limits<double>::quiet_NaN()
+                              : static_cast<double>(rng.uniform_index(4));
+    x[4] = late_varies ? static_cast<double>(rng.uniform_index(3)) : 2.0;
+    for (std::size_t f = 5; f < 9; ++f) {
+      x[f] = static_cast<double>(rng.uniform_index(5));
+    }
+    d.add(x, 2.0 * x[5] - x[6] + 0.5 * x[4] + 0.25 * rng.normal());
+  }
+  return d;
+}
+
+struct ConstantCase {
+  SplitMode mode;
+  std::size_t dims;  // > 512 sends kBest to the gathered path
+  const char* name;
+};
+
+class ConstantColumnEquivalence
+    : public ::testing::TestWithParam<ConstantCase> {
+ protected:
+  TreeConfig config(TreeKernel kernel) const {
+    TreeConfig cfg = tree_config(GetParam().mode, kernel);
+    cfg.max_features = GetParam().dims > 64 ? 0 : 4;  // sqrt(d) when wide
+    return cfg;
+  }
+  // Presorted kBest gets no NaN. With a NaN among the x, neither the
+  // legacy (x, y) pair order nor the presort's order is a strict weak
+  // order, and the two kernels' trees differ with or without the
+  // constant-column skip (a known defect: NaN features are not yet
+  // rejected or ordered consistently). The NaN column is never flagged
+  // constant, so the skip cannot touch it in any mode.
+  bool with_nan() const {
+    return GetParam().mode == SplitMode::kRandom || GetParam().dims > 512;
+  }
+};
+
+TEST_P(ConstantColumnEquivalence, TreeBitIdenticalWithRngInLockstep) {
+  stats::Rng data_rng(31);
+  const auto data =
+      constant_heavy_data(220, GetParam().dims, false, with_nan(), data_rng);
+  ASSERT_TRUE(data.columns().constant(0));
+  ASSERT_TRUE(data.columns().constant(1));
+  ASSERT_TRUE(data.columns().constant(2));
+  ASSERT_FALSE(data.columns().constant(3));
+  ASSERT_TRUE(data.columns().constant(4));
+  DecisionTreeRegressor legacy(config(TreeKernel::kLegacy));
+  DecisionTreeRegressor fast(config(TreeKernel::kColumnar));
+  stats::Rng rng_a(8), rng_b(8);
+  legacy.fit(data, rng_a);
+  fast.fit(data, rng_b);
+  EXPECT_EQ(dump(legacy), dump(fast));
+  EXPECT_EQ(rng_a.next(), rng_b.next());
+}
+
+TEST_P(ConstantColumnEquivalence, IncrementalRoundsStayBitIdentical) {
+  // Column 4 is constant over the first rounds' buffer and starts to
+  // vary in round 2, after the store has synced it as constant.
+  IncrementalForestConfig legacy_cfg;
+  legacy_cfg.forest.n_trees = 8;
+  legacy_cfg.forest.tree = config(TreeKernel::kLegacy);
+  IncrementalForestConfig fast_cfg = legacy_cfg;
+  fast_cfg.forest.tree.kernel = TreeKernel::kColumnar;
+  IncrementalForest legacy(legacy_cfg, 5), fast(fast_cfg, 5);
+  stats::Rng data_rng(32);
+  for (int round = 0; round < 5; ++round) {
+    const auto batch = constant_heavy_data(
+        round == 0 ? 120 : 40, GetParam().dims, round >= 2,
+        with_nan() && round == 0, data_rng);
+    legacy.partial_fit(batch);
+    fast.partial_fit(batch);
+    EXPECT_EQ(fast.buffer().columns().constant(4), round < 2)
+        << "round " << round;
+    EXPECT_EQ(dump(legacy.forest()), dump(fast.forest())) << "round " << round;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Kernels, ConstantColumnEquivalence,
+    ::testing::Values(ConstantCase{SplitMode::kRandom, 12, "Random"},
+                      ConstantCase{SplitMode::kRandom, 600, "RandomWide"},
+                      ConstantCase{SplitMode::kBest, 12, "BestPresorted"},
+                      ConstantCase{SplitMode::kBest, 600, "BestGathered"}),
+    [](const ::testing::TestParamInfo<ConstantCase>& info) {
+      return std::string(info.param.name);
+    });
 
 TEST(ForestEquivalence, PredictBatchMatchesSinglePredictions) {
   stats::Rng data_rng(15);

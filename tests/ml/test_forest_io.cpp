@@ -4,6 +4,9 @@
 
 #include <cstdio>
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "ml/metrics.hpp"
 #include "stats/rng.hpp"
@@ -245,6 +248,146 @@ TEST(ForestIo, FailedLoadLeavesForestUsable) {
   // still answers with its pre-load model.
   EXPECT_EQ(forest.tree_count(), 5u);
   EXPECT_DOUBLE_EQ(forest.predict(data.x(0)), before);
+}
+
+// --- Hostile tree bodies ----------------------------------------------------
+// Saved layout (DecisionTreeRegressor::save): "tree <nodes> <features>",
+// one "<feature> <threshold> <left> <right> <value>" line per node (root
+// first, a leaf's feature is 4294967295), then one importance line.
+
+std::vector<std::string> split_lines(const std::string& text) {
+  std::vector<std::string> lines;
+  std::istringstream in(text);
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  return lines;
+}
+
+std::string join_lines(const std::vector<std::string>& lines) {
+  std::string text;
+  for (const auto& line : lines) text += line + '\n';
+  return text;
+}
+
+std::vector<std::string> fields(const std::string& line) {
+  std::vector<std::string> out;
+  std::istringstream in(line);
+  for (std::string f; in >> f;) out.push_back(f);
+  return out;
+}
+
+void set_field(std::string& line, std::size_t i, const std::string& value) {
+  auto f = fields(line);
+  f.at(i) = value;
+  line.clear();
+  for (const auto& v : f) line += (line.empty() ? "" : " ") + v;
+}
+
+bool is_leaf(const std::string& node_line) {
+  return fields(node_line)[0] == "4294967295";
+}
+
+using HostileCase = std::pair<std::string, std::vector<std::string>>;
+
+/// Corruptions of the tree body whose header is lines[head]. Its root
+/// and node 1 (the root's left child) must be internal nodes.
+std::vector<HostileCase> hostile_bodies(const std::vector<std::string>& lines,
+                                        std::size_t head) {
+  const std::size_t root = head + 1;
+  const std::string node_count = fields(lines[head])[1];
+  const std::string root_right = fields(lines[root])[3];
+  std::vector<HostileCase> cases;
+  const auto add = [&](const char* name, auto edit) {
+    auto copy = lines;
+    edit(copy);
+    cases.emplace_back(name, std::move(copy));
+  };
+  add("truncated body", [&](auto& l) { l.resize(root + 2); });
+  add("child past node count",
+      [&](auto& l) { set_field(l[root], 3, node_count); });
+  add("self child", [&](auto& l) { set_field(l[root], 2, "0"); });
+  add("back-edge child", [&](auto& l) { set_field(l[root + 1], 3, "0"); });
+  add("shared child",
+      [&](auto& l) { set_field(l[root + 1], 2, root_right); });
+  add("orphaned subtree",
+      [&](auto& l) { set_field(l[root + 1], 0, "4294967295"); });
+  add("feature out of range", [&](auto& l) {
+    set_field(l[root], 0, fields(l[head])[2]);
+  });
+  add("absurd node count",
+      [&](auto& l) { set_field(l[head], 1, "99999999999"); });
+  return cases;
+}
+
+TEST(ForestIo, RejectsMalformedTreeBodiesWithoutMutating) {
+  stats::Rng rng(12);
+  const auto data = make_data(200, rng);
+  ForestConfig cfg;
+  cfg.n_trees = 5;
+  RandomForestRegressor forest(cfg);
+  forest.fit(data, rng);
+  std::ostringstream saved;
+  forest.save(saved);
+  const auto lines = split_lines(saved.str());
+
+  // Corrupt the third tree, so two good trees precede the bad one.
+  std::size_t head = 0;
+  for (std::size_t seen = 0; head < lines.size(); ++head) {
+    if (lines[head].rfind("tree ", 0) == 0 && seen++ == 2) break;
+  }
+  ASSERT_LT(head + 2, lines.size());
+  ASSERT_FALSE(is_leaf(lines[head + 1]));
+  ASSERT_FALSE(is_leaf(lines[head + 2]));
+  auto cases = hostile_bodies(lines, head);
+  {
+    // A well-formed tree of the wrong width for the forest header.
+    auto copy = lines;
+    set_field(copy[head], 2, "3");
+    cases.emplace_back("importance length mismatch", std::move(copy));
+  }
+
+  const double before = forest.predict(data.x(0));
+  for (const auto& [name, body] : cases) {
+    SCOPED_TRACE(name);
+    std::istringstream in(join_lines(body));
+    EXPECT_THROW(forest.load(in), std::runtime_error);
+    EXPECT_EQ(forest.tree_count(), 5u);
+    EXPECT_EQ(forest.predict(data.x(0)), before);
+    std::ostringstream after;
+    forest.save(after);
+    EXPECT_EQ(after.str(), saved.str());
+  }
+  // The uncorrupted text still loads.
+  std::istringstream good(saved.str());
+  RandomForestRegressor reloaded;
+  reloaded.load(good);
+  EXPECT_EQ(reloaded.predict(data.x(0)), before);
+}
+
+TEST(ForestIo, TreeLoadRejectsMalformedBodiesWithoutMutating) {
+  stats::Rng rng(13);
+  const auto data = make_data(200, rng);
+  TreeConfig cfg;
+  cfg.max_features = 4;
+  DecisionTreeRegressor tree(cfg);
+  tree.fit(data, rng);
+  std::ostringstream saved;
+  tree.save(saved);
+  const auto lines = split_lines(saved.str());
+  ASSERT_FALSE(is_leaf(lines[1]));
+  ASSERT_FALSE(is_leaf(lines[2]));
+
+  const std::size_t nodes = tree.node_count();
+  const double before = tree.predict(data.x(0));
+  for (const auto& [name, body] : hostile_bodies(lines, 0)) {
+    SCOPED_TRACE(name);
+    std::istringstream in(join_lines(body));
+    EXPECT_THROW(tree.load(in), std::runtime_error);
+    EXPECT_EQ(tree.node_count(), nodes);
+    EXPECT_EQ(tree.predict(data.x(0)), before);
+    std::ostringstream after;
+    tree.save(after);
+    EXPECT_EQ(after.str(), saved.str());
+  }
 }
 
 TEST(ForestIo, LoadPreservesRuntimeThreadKnob) {

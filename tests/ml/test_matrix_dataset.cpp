@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <limits>
+#include <vector>
+
 #include "ml/dataset.hpp"
 #include "ml/matrix.hpp"
 
@@ -130,6 +134,134 @@ TEST(Dataset, ShufflePreservesPairs) {
   for (std::size_t i = 0; i < d.size(); ++i) {
     EXPECT_DOUBLE_EQ(d.y(i), d.x(i)[0] * 2.0);  // pairing intact
   }
+}
+
+// --- ColumnStore ------------------------------------------------------------
+
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+// The mirror must hold exactly the source's values (bit for bit: -0.0
+// and NaN included) in every column.
+void expect_mirrors(const ColumnStore& cols, const Matrix& m) {
+  ASSERT_EQ(cols.rows(), m.rows());
+  ASSERT_EQ(cols.feature_count(), m.cols());
+  for (std::size_t f = 0; f < m.cols(); ++f) {
+    const auto col = cols.column(f);
+    for (std::size_t r = 0; r < m.rows(); ++r) {
+      EXPECT_TRUE(same_bits(col[r], m(r, f))) << "row " << r << " col " << f;
+    }
+  }
+}
+
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+
+// Columns: 0 all zero, 1 constant 2.5, 2 mixes +0.0 and -0.0, 3 starts
+// with NaN, 4 constant until row `varies_from`, 5 a single late NaN at
+// row `varies_from`, 6 dense.
+std::vector<double> flag_row(std::size_t r, std::size_t varies_from) {
+  const bool late = r >= varies_from;
+  return {0.0,
+          2.5,
+          r % 2 == 0 ? 0.0 : -0.0,
+          r == 0 ? kNaN : 1.0,
+          late ? static_cast<double>(r) : 7.0,
+          r == varies_from ? kNaN : 4.0,
+          static_cast<double>(r) * 0.5};
+}
+
+std::vector<bool> flags(const ColumnStore& cols) {
+  std::vector<bool> out;
+  for (std::size_t f = 0; f < cols.feature_count(); ++f) {
+    out.push_back(cols.constant(f));
+  }
+  return out;
+}
+
+TEST(ColumnStore, ConstantFlagsFollowIncrementalSyncs) {
+  constexpr std::size_t kVaries = 23;
+  Matrix m;
+  ColumnStore cols;
+  for (std::size_t r = 0; r < 5; ++r) m.push_row(flag_row(r, kVaries));
+  cols.sync(m);
+  expect_mirrors(cols, m);
+  EXPECT_EQ(flags(cols),
+            (std::vector<bool>{true, true, true, false, true, true, false}));
+  // 5 -> 23 rows: column 4 and 5 still equal their first value; the
+  // blocked transpose covers a full block and a ragged tail.
+  for (std::size_t r = 5; r < kVaries; ++r) m.push_row(flag_row(r, kVaries));
+  cols.sync(m);
+  expect_mirrors(cols, m);
+  EXPECT_EQ(flags(cols),
+            (std::vector<bool>{true, true, true, false, true, true, false}));
+  // Row 23 is the first to differ in column 4 and holds column 5's NaN.
+  for (std::size_t r = kVaries; r < 40; ++r) m.push_row(flag_row(r, kVaries));
+  cols.sync(m);
+  expect_mirrors(cols, m);
+  EXPECT_EQ(flags(cols),
+            (std::vector<bool>{true, true, true, false, false, false, false}));
+  // A no-op sync changes nothing.
+  cols.sync(m);
+  EXPECT_EQ(flags(cols),
+            (std::vector<bool>{true, true, true, false, false, false, false}));
+}
+
+TEST(ColumnStore, ConstantFlagsSurviveStrideRegrowth) {
+  // One row per sync: the per-column capacity regrows at 1, 2, 4, 8, ...
+  // rows, re-packing the columns each time; values and flags must carry
+  // over every re-pack.
+  constexpr std::size_t kVaries = 9;
+  Matrix m;
+  ColumnStore cols;
+  for (std::size_t r = 0; r < 20; ++r) {
+    m.push_row(flag_row(r, kVaries));
+    cols.sync(m);
+    const bool before = r < kVaries;
+    EXPECT_EQ(cols.constant(4), before) << "after row " << r;
+    EXPECT_EQ(cols.constant(5), before) << "after row " << r;
+    EXPECT_TRUE(cols.constant(2)) << "after row " << r;
+    EXPECT_FALSE(cols.constant(3)) << "after row " << r;
+    EXPECT_EQ(cols.constant(6), r == 0) << "after row " << r;
+  }
+  expect_mirrors(cols, m);
+}
+
+TEST(ColumnStore, RebuildRecomputesFlags) {
+  Matrix wide;
+  ColumnStore cols;
+  for (std::size_t r = 0; r < 30; ++r) wide.push_row(flag_row(r, 10));
+  cols.sync(wide);
+  EXPECT_FALSE(cols.constant(4));
+
+  // Shrink: the source now has fewer rows than were synced, so the
+  // store rebuilds; over these rows column 4 is constant again.
+  Matrix shorter;
+  for (std::size_t r = 0; r < 8; ++r) shorter.push_row(flag_row(r, 10));
+  cols.sync(shorter);
+  expect_mirrors(cols, shorter);
+  EXPECT_TRUE(cols.constant(4));
+  EXPECT_FALSE(cols.constant(3));
+
+  // Width change: rebuild at the new width, flags sized to it.
+  Matrix narrow;
+  for (std::size_t r = 0; r < 12; ++r) {
+    narrow.push_row(std::vector<double>{1.0, static_cast<double>(r % 3)});
+  }
+  cols.sync(narrow);
+  expect_mirrors(cols, narrow);
+  EXPECT_EQ(flags(cols), (std::vector<bool>{true, false}));
+}
+
+TEST(ColumnStore, DatasetColumnsCarryFlags) {
+  Dataset d(2);
+  d.add(std::vector<double>{5.0, 1.0}, 0.0);
+  d.add(std::vector<double>{5.0, 1.0}, 1.0);
+  EXPECT_TRUE(d.columns().constant(0));
+  EXPECT_TRUE(d.columns().constant(1));
+  d.add(std::vector<double>{5.0, 2.0}, 2.0);
+  EXPECT_TRUE(d.columns().constant(0));
+  EXPECT_FALSE(d.columns().constant(1));
 }
 
 }  // namespace
