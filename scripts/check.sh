@@ -1,11 +1,11 @@
 #!/usr/bin/env bash
 # check.sh — the repo's full correctness gate. Runs, in order:
-#   1. gsight_lint (determinism/hygiene linter) + its self-test
+#   1. gsight_analyze: seeded-violation self-tests for every pass, then
+#      the full-tree run (layering, determinism, lock-discipline and
+#      hot-alloc over src/; hygiene over src/, tests/ and bench/) which
+#      must come back clean, dumping the include graph
 #   2. clang-tidy over src/ with -warnings-as-errors='*' (skipped with a
 #      notice when not installed)
-#   2b. gsight_analyze: seeded-violation self-tests for every pass, then
-#      the full-tree run (layering, determinism, lock-discipline,
-#      hot-alloc) which must come back clean
 #   2c. clang -Wthread-safety build (-DGSIGHT_THREAD_SAFETY=ON with
 #      -Werror=thread-safety; skipped with a notice when clang++ is not
 #      installed)
@@ -16,10 +16,9 @@
 #      the emitted BENCH_micro.json with tools/bench_schema_check
 #   5b. model kernels: legacy-vs-columnar forest train and predict
 #      benchmarks (plus BM_ForestTrainOverlapCoded, training on
-#      study-shaped overlap codes), the SIMD-blocked traversal variants
-#      (BM_ForestPredictSimd*), and the serving-layer inference kernels
-#      under GSIGHT_THREADS=1, schema-checked like any bench; prints the
-#      batched-vs-legacy inference speedup from the RunReport
+#      study-shaped overlap codes) and the serving-layer inference
+#      kernels under GSIGHT_THREADS=1, schema-checked like any bench;
+#      prints the batched-vs-legacy inference speedup from the RunReport
 #   5c. forest-inference perf guard: fresh BM_ForestPredictBatched vs the
 #      committed bench/BENCH_micro_baseline.json — fails when the fresh
 #      time is > 1.25x the committed baseline (skips with a notice when
@@ -91,16 +90,17 @@ configure_build() {
     || { tail -n 60 "$dir.build.log"; return 1; }
 }
 
-# --- 1. Lint ---------------------------------------------------------------
-banner "gsight_lint"
-LINT_DIR="$ROOT/build-check/lint"
+# --- 1. gsight_analyze -----------------------------------------------------
+banner "gsight_analyze: pass self-tests + full-tree run"
+ANALYZE_DIR="$ROOT/build-check/analyze"
 mkdir -p "$ROOT/build-check"
-cmake -B "$LINT_DIR" -S "$ROOT" -DGSIGHT_WERROR=ON \
-      -DCMAKE_EXPORT_COMPILE_COMMANDS=ON > "$LINT_DIR.configure.log" 2>&1
-cmake --build "$LINT_DIR" -j "$JOBS" --target gsight_lint gsight_analyze \
-      > "$LINT_DIR.build.log" 2>&1 || { tail -n 40 "$LINT_DIR.build.log"; exit 1; }
-"$LINT_DIR/tools/gsight_lint" --self-test
-"$LINT_DIR/tools/gsight_lint" "$ROOT"
+cmake -B "$ANALYZE_DIR" -S "$ROOT" -DGSIGHT_WERROR=ON \
+      -DCMAKE_EXPORT_COMPILE_COMMANDS=ON > "$ANALYZE_DIR.configure.log" 2>&1
+cmake --build "$ANALYZE_DIR" -j "$JOBS" --target gsight_analyze \
+      > "$ANALYZE_DIR.build.log" 2>&1 || { tail -n 40 "$ANALYZE_DIR.build.log"; exit 1; }
+"$ANALYZE_DIR/tools/gsight_analyze" --self-test
+"$ANALYZE_DIR/tools/gsight_analyze" --dump-graph "$ANALYZE_DIR/include-graph.json" "$ROOT"
+echo "include graph dumped to $ANALYZE_DIR/include-graph.json"
 
 # --- 2. clang-tidy ---------------------------------------------------------
 banner "clang-tidy"
@@ -108,17 +108,11 @@ if command -v clang-tidy > /dev/null 2>&1; then
   mapfile -t TIDY_SOURCES < <(find "$ROOT/src" -name '*.cpp' | sort)
   # Gate, not advice: any finding from the .clang-tidy profile fails the
   # run (the profile itself documents which checks are excluded and why).
-  clang-tidy -p "$LINT_DIR/compile_commands.json" --quiet \
+  clang-tidy -p "$ANALYZE_DIR/compile_commands.json" --quiet \
     -warnings-as-errors='*' "${TIDY_SOURCES[@]}"
 else
   skip "2 clang-tidy" "clang-tidy not installed (config: .clang-tidy)"
 fi
-
-# --- 2b. gsight_analyze ----------------------------------------------------
-banner "gsight_analyze: pass self-tests + full-tree run"
-"$LINT_DIR/tools/gsight_analyze" --self-test
-"$LINT_DIR/tools/gsight_analyze" --dump-graph "$LINT_DIR/include-graph.json" "$ROOT"
-echo "include graph dumped to $LINT_DIR/include-graph.json"
 
 # --- 2c. clang thread-safety -----------------------------------------------
 # The GSIGHT_GUARDED_BY / GSIGHT_REQUIRES annotations are only *analysed*
@@ -200,7 +194,7 @@ KERNEL_DIR="$BENCH_DIR/model-kernels"
 rm -rf "$KERNEL_DIR" && mkdir -p "$KERNEL_DIR"
 GSIGHT_THREADS=1 GSIGHT_BENCH_DIR="$KERNEL_DIR" "$BENCH_DIR/bench/bench_micro" \
   --benchmark_min_time=0.01 \
-  --benchmark_filter='BM_ForestTrain|BM_ForestPredict(Legacy|Singles|Batched)|BM_ForestPredictSimd(Scalar|Blocked|Gather)|BM_ServePredict|BM_ServeFleetRouted'
+  --benchmark_filter='BM_ForestTrain|BM_ForestPredict(Legacy|Singles|Batched)|BM_ServePredict|BM_ServeFleetRouted'
 [[ -f "$KERNEL_DIR/BENCH_micro.json" ]] \
   || { echo "model kernels: BENCH_micro.json was not written"; exit 1; }
 "$BENCH_DIR/tools/bench_schema_check" "$KERNEL_DIR/BENCH_micro.json"

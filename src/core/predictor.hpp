@@ -67,8 +67,9 @@ struct PredictorConfig {
   std::size_t update_batch = 32;
   std::uint64_t seed = 1;
   /// Forest training kernel (IRFR only). kColumnar is the fast path;
-  /// kLegacy keeps the original row-major kernel, retained one release
-  /// for equivalence checking (the two produce bit-identical models).
+  /// kLegacy is the original row-major kernel, kept as the reference the
+  /// equivalence tests hold kColumnar to (the two produce bit-identical
+  /// models) and because perfbench/study.cpp sets this field.
   ml::TreeKernel forest_kernel = ml::TreeKernel::kColumnar;
 };
 

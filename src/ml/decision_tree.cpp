@@ -705,7 +705,7 @@ void DecisionTreeRegressor::save(std::ostream& out) const {
 
 void DecisionTreeRegressor::load(std::istream& in) {
   // Parse into locals and check the links before committing anything:
-  // inference flattens the node array by following child links, so a
+  // inference re-lays the node array by following child links, so a
   // body that is not a tree must fail here, not index out of bounds
   // there.
   std::string tag;

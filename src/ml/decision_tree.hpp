@@ -29,9 +29,12 @@ enum class SplitMode { kBest, kRandom };
 ///   kColumnar — feature-major scans over the dataset's ColumnStore, with
 ///               per-tree presorted index lists (sklearn/LightGBM style)
 ///               replacing kBest's per-node gather+sort. The default.
-///   kLegacy   — the original row-major gather kernel, kept for one
-///               release as the golden reference (see
-///               tests/ml/test_forest_equivalence.cpp).
+///   kLegacy   — the original row-major gather kernel. It stays as the
+///               independent reference the columnar kernel is checked
+///               against (ForestEquivalence.*, ConstantColumnEquivalence.*
+///               in tests/ml/), and perfbench/study.cpp passes this knob
+///               through core::make_model, so removing it is a benchmark
+///               change.
 enum class TreeKernel { kColumnar, kLegacy };
 
 struct TreeConfig {
@@ -47,8 +50,8 @@ struct TreeConfig {
 
 class DecisionTreeRegressor {
  public:
-  /// Flat tree node. Public so RandomForestRegressor can concatenate the
-  /// node arrays of all trees into one cache-friendly inference buffer.
+  /// Flat tree node. Public so BlockedForest::build can re-lay every
+  /// tree's nodes into one cache-friendly inference buffer.
   struct Node {
     // Leaf when feature == kLeaf; then `value` is the prediction.
     static constexpr std::uint32_t kLeaf = 0xFFFFFFFFu;

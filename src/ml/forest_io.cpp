@@ -3,6 +3,7 @@
 #include <fstream>
 #include <iomanip>
 #include <stdexcept>
+#include <string>
 
 namespace gsight::ml {
 
@@ -130,6 +131,16 @@ IncrementalForest load_incremental_forest(std::istream& in) {
   cfg.forest = forest.config();
   IncrementalForest model(cfg);
   Dataset buffer = read_dataset(in);
+  // partial_fit appends the next batch to this buffer and retrains on it;
+  // Matrix::push_row checks row width only by assert, so a buffer of
+  // another width would end up with rows of mixed length.
+  if (buffer.feature_count() != forest.feature_count()) {
+    throw std::runtime_error(
+        "model parse error: buffer width " +
+        std::to_string(buffer.feature_count()) +
+        " differs from forest feature count " +
+        std::to_string(forest.feature_count()));
+  }
   model.restore(std::move(forest), std::move(buffer), version);
   if (have_rng) model.set_rng_state(rng);
   return model;

@@ -26,7 +26,9 @@ RandomForestRegressor read_forest(std::istream& in);
 /// an uninterrupted run (format `gsight-irfr-v2`; the stamp-less v1
 /// format is still readable and resumes at version 0 with a fresh
 /// stream). The version stamp is what serve::SnapshotSlot orders model
-/// hot-swaps by.
+/// hot-swaps by. Loading throws std::runtime_error on malformed input,
+/// including a buffer whose width differs from the forest's feature
+/// count.
 void save_incremental_forest(const IncrementalForest& model,
                              const std::string& path);
 void save_incremental_forest(const IncrementalForest& model,

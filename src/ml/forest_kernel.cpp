@@ -4,20 +4,16 @@
 #include <algorithm>
 #include <cassert>
 #include <cstddef>
-#include <cstdlib>
-#include <string_view>
 
 namespace gsight::ml {
 
-void BlockedForest::build(
-    std::span<const DecisionTreeRegressor::Node> flat_nodes,
-    std::span<const std::size_t> offsets) {
-  const std::size_t trees = offsets.empty() ? 0 : offsets.size() - 1;
-  const std::size_t total = flat_nodes.size();
+void BlockedForest::build(std::span<const DecisionTreeRegressor> trees) {
+  std::size_t total = 0;
+  for (const auto& tree : trees) total += tree.node_count();
   nodes.assign(total, PackedNode{});
   value.assign(total, 0.0);
-  root.assign(trees, 0);
-  depth.assign(trees, 0);
+  root.assign(trees.size(), 0);
+  depth.assign(trees.size(), 0);
 
   // Per-tree breadth-first renumbering. The BFS queue doubles as the
   // local->global map: slot q of `order` is the tree-local index that
@@ -25,12 +21,12 @@ void BlockedForest::build(
   std::vector<std::uint32_t> order;
   std::vector<std::int32_t> global_of;  // tree-local index -> global index
   std::vector<std::int32_t> level;      // tree-local index -> BFS depth
-  for (std::size_t t = 0; t < trees; ++t) {
-    const std::size_t base = offsets[t];
-    const std::size_t count = offsets[t + 1] - base;
+  std::size_t base = 0;
+  for (std::size_t t = 0; t < trees.size(); ++t) {
+    const auto src = trees[t].nodes();
+    const std::size_t count = src.size();
     root[t] = static_cast<std::int32_t>(base);
     if (count == 0) continue;
-    const DecisionTreeRegressor::Node* src = flat_nodes.data() + base;
 
     order.clear();
     order.push_back(0);  // root first, as in the source layout
@@ -68,40 +64,11 @@ void BlockedForest::build(
                     global_of[node.left]};
       }
     }
+    base += count;
   }
 }
 
 namespace forest_kernel {
-
-KernelChoice dispatch_choice() {
-  static const KernelChoice choice = [] {
-    const char* env = std::getenv("GSIGHT_FOREST_KERNEL");
-    if (env != nullptr && std::string_view(env) == "simd" &&
-        simd_available()) {
-      return KernelChoice::kSimd;
-    }
-    return KernelChoice::kScalarBlocked;
-  }();
-  return choice;
-}
-
-void leaves(const BlockedForest& forest, std::span<const double> x,
-            std::span<double> out) {
-  if (dispatch_choice() == KernelChoice::kSimd) {
-    leaves_simd(forest, x, out);
-  } else {
-    leaves_scalar(forest, x, out);
-  }
-}
-
-void gather(const BlockedForest& forest, const Matrix& xs,
-            std::span<double> out) {
-  if (dispatch_choice() == KernelChoice::kSimd) {
-    gather_simd(forest, xs, out);
-  } else {
-    gather_scalar(forest, xs, out);
-  }
-}
 
 double reduce_mean(std::span<const double> leaves) {
   double sum = 0.0;
@@ -126,9 +93,9 @@ inline std::int32_t step_lane(const BlockedForest::PackedNode* nodes,
 
 }  // namespace
 
-void leaves_scalar(const BlockedForest& forest, std::span<const double> x,
-                   std::span<double> leaves) {
-  assert(leaves.size() == forest.tree_count());
+void leaves(const BlockedForest& forest, std::span<const double> x,
+            std::span<double> out) {
+  assert(out.size() == forest.tree_count());
   const BlockedForest::PackedNode* nodes = forest.nodes.data();
   const std::size_t trees = forest.tree_count();
   for (std::size_t t0 = 0; t0 < trees; t0 += kLaneWidth) {
@@ -148,13 +115,13 @@ void leaves_scalar(const BlockedForest& forest, std::span<const double> x,
       }
     }
     for (std::size_t k = 0; k < width; ++k) {
-      leaves[t0 + k] = forest.value[static_cast<std::size_t>(idx[k])];
+      out[t0 + k] = forest.value[static_cast<std::size_t>(idx[k])];
     }
   }
 }
 
-void gather_scalar(const BlockedForest& forest, const Matrix& xs,
-                   std::span<double> out) {
+void gather(const BlockedForest& forest, const Matrix& xs,
+            std::span<double> out) {
   assert(out.size() == xs.rows());
   const BlockedForest::PackedNode* nodes = forest.nodes.data();
   const std::size_t trees = forest.tree_count();
@@ -189,24 +156,6 @@ void gather_scalar(const BlockedForest& forest, const Matrix& xs,
     }
   }
 }
-
-#if !defined(GSIGHT_SIMD_AVX2)
-
-bool simd_available() { return false; }
-
-// Scalar-forwarding definitions keep call sites build-flavor agnostic
-// when GSIGHT_SIMD is OFF (or the toolchain lacks AVX2).
-void leaves_simd(const BlockedForest& forest, std::span<const double> x,
-                 std::span<double> leaves) {
-  leaves_scalar(forest, x, leaves);
-}
-
-void gather_simd(const BlockedForest& forest, const Matrix& xs,
-                 std::span<double> out) {
-  gather_scalar(forest, xs, out);
-}
-
-#endif  // !GSIGHT_SIMD_AVX2
 
 }  // namespace forest_kernel
 

@@ -45,48 +45,24 @@ void RandomForestRegressor::fit(const Dataset& data, stats::Rng& rng) {
   }
   pool->parallel_for(config_.n_trees,
                      [&](std::size_t i) { fit_one(data, i, seeds[i]); });
-  rebuild_flat();
+  blocked_.build(trees_);
 }
 
-void RandomForestRegressor::rebuild_flat() {
-  flat_offsets_.assign(trees_.size() + 1, 0);
-  std::size_t total = 0;
-  for (std::size_t t = 0; t < trees_.size(); ++t) {
-    flat_offsets_[t] = total;
-    total += trees_[t].nodes().size();
-  }
-  flat_offsets_[trees_.size()] = total;
-  flat_nodes_.clear();
-  flat_nodes_.reserve(total);
-  for (const auto& tree : trees_) {
-    const auto nodes = tree.nodes();
-    flat_nodes_.insert(flat_nodes_.end(), nodes.begin(), nodes.end());
-  }
-  blocked_.build(flat_nodes_, flat_offsets_);
-}
-
-double RandomForestRegressor::traverse(std::size_t tree,
-                                       std::span<const double> x) const {
-  const DecisionTreeRegressor::Node* base =
-      flat_nodes_.data() + flat_offsets_[tree];
-  std::uint32_t i = 0;
-  for (;;) {
-    const auto& node = base[i];
-    if (node.feature == DecisionTreeRegressor::Node::kLeaf) return node.value;
-    assert(node.feature < x.size());
-    i = x[node.feature] <= node.threshold ? node.left : node.right;
+void RandomForestRegressor::check_width(std::size_t width) const {
+  if (!trees_.empty() && width < feature_count_) {
+    throw std::invalid_argument(
+        "forest predict: row has " + std::to_string(width) +
+        " features, the forest's feature count is " +
+        std::to_string(feature_count_));
   }
 }
 
-// noinline keeps exactly one copy of the branchy node walk: duplicated
-// inlined copies (e.g. inside predict_batch_reference) measured up to
-// 20% slower purely from code-placement luck, which would corrupt the
-// reference timings the blocked kernels are judged against.
-__attribute__((noinline)) double RandomForestRegressor::predict_reference(
+double RandomForestRegressor::predict_reference(
     std::span<const double> x) const {
   if (trees_.empty()) return 0.0;
+  check_width(x.size());
   double sum = 0.0;
-  for (std::size_t t = 0; t < trees_.size(); ++t) sum += traverse(t, x);
+  for (const auto& tree : trees_) sum += tree.predict(x);
   return sum / static_cast<double>(trees_.size());
 }
 
@@ -101,6 +77,7 @@ std::vector<double> RandomForestRegressor::predict_batch_reference(
 
 double RandomForestRegressor::predict(std::span<const double> x) const {
   if (trees_.empty()) return 0.0;
+  check_width(x.size());
   // Leaf values land in a stack block for any realistic forest (deployed
   // IRFR runs 80–100 trees); the heap path only exists so oversized
   // configs stay correct.
@@ -122,6 +99,7 @@ void RandomForestRegressor::predict_batch(const Matrix& xs,
                                           std::vector<double>& out) const {
   out.assign(xs.rows(), 0.0);
   if (trees_.empty() || xs.rows() == 0) return;
+  check_width(xs.cols());
   if (xs.rows() >= forest_kernel::kGatherMinRows) {
     // Wide batch: trees outer, kLaneWidth rows per step — each tree's
     // breadth-first node block stays cache-resident while the whole
@@ -163,6 +141,14 @@ void RandomForestRegressor::refresh_trees(const Dataset& data, std::size_t count
     fit(data, rng);
     return;
   }
+  // Refreshed trees must split below feature_count_, which predict's
+  // width check and importance() rely on.
+  if (data.feature_count() != feature_count_) {
+    throw std::invalid_argument(
+        "forest refresh: data has " + std::to_string(data.feature_count()) +
+        " features, the forest's feature count is " +
+        std::to_string(feature_count_));
+  }
   if (count == 0) return;
   count = std::min(count, trees_.size());
   const auto slots = rng.sample_without_replacement(trees_.size(), count);
@@ -171,7 +157,7 @@ void RandomForestRegressor::refresh_trees(const Dataset& data, std::size_t count
   if (config_.tree.kernel == TreeKernel::kColumnar) data.columns();
   ThreadPool::shared().parallel_for(
       count, [&](std::size_t i) { fit_one(data, slots[i], seeds[i]); });
-  rebuild_flat();
+  blocked_.build(trees_);
 }
 
 
@@ -244,7 +230,7 @@ void RandomForestRegressor::load(std::istream& in) {
   config_ = config;
   feature_count_ = feature_count;
   trees_ = std::move(trees);
-  rebuild_flat();
+  blocked_.build(trees_);
 }
 
 }  // namespace gsight::ml

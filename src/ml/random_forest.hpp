@@ -3,10 +3,10 @@
 // batch core reused by the incremental wrapper (IRFR) that Gsight deploys.
 // Inference runs over the blocked breadth-first layout of
 // ml/forest_kernel.hpp: predict() advances kLaneWidth trees per step over
-// one query row, predict_batch() dispatches wide batches to the row-lane
+// one query row, predict_batch() sends wide batches to the row-lane
 // gather kernel (the access pattern GsightScheduler::sla_ok generates
-// thousands of times per placement). Every kernel is bit-identical to the
-// reference walk kept in predict_reference() — enforced by
+// thousands of times per placement). Both kernels are bit-identical to
+// the per-tree walk in predict_reference() — enforced by
 // tests/ml/test_forest_equivalence.cpp.
 #pragma once
 
@@ -33,26 +33,34 @@ class RandomForestRegressor {
   explicit RandomForestRegressor(ForestConfig config = {}) : config_(config) {}
 
   void fit(const Dataset& data, stats::Rng& rng);
+  /// Mean of the trees' predictions for `x`; 0 while unfitted. Throws
+  /// std::invalid_argument on a fitted forest when `x` has fewer than
+  /// feature_count() entries (a split could read past its end).
   double predict(std::span<const double> x) const;
   /// One prediction per row of `xs`, bit-identical to calling predict()
-  /// on each row. Narrow batches run the tree-lane blocked kernel per
-  /// row; batches of forest_kernel::kGatherMinRows rows or more take the
-  /// row-lane gather path, where each tree's node block stays
-  /// cache-resident while the batch streams through it.
+  /// on each row, with the same width check on xs.cols(). Narrow batches
+  /// run the tree-lane blocked kernel per row; batches of
+  /// forest_kernel::kGatherMinRows rows or more take the row-lane gather
+  /// path, where each tree's node block stays cache-resident while the
+  /// batch streams through it.
   std::vector<double> predict_batch(const Matrix& xs) const;
   /// Allocation-free variant: resizes `out` to xs.rows() (reusing its
   /// capacity) and writes predictions in place — the serve hot path.
   void predict_batch(const Matrix& xs, std::vector<double>& out) const;
 
-  /// Reference kernel: the plain one-node-at-a-time walk over the
-  /// flattened arrays. The golden implementation every blocked/SIMD
-  /// kernel must match bit for bit; not used on hot paths.
+  /// Reference kernel: the mean of DecisionTreeRegressor::predict over
+  /// the trees in ascending order — the same comparisons and the same
+  /// sum. The golden result both blocked kernels must match bit for bit;
+  /// not used on hot paths.
   double predict_reference(std::span<const double> x) const;
   std::vector<double> predict_batch_reference(const Matrix& xs) const;
   bool fitted() const { return !trees_.empty(); }
   std::size_t tree_count() const { return trees_.size(); }
+  /// Width of the rows the forest was fitted on (or loaded with); every
+  /// split feature is below it. 0 while unfitted.
+  std::size_t feature_count() const { return feature_count_; }
   /// The fitted trees (read-only; benchmarks compare per-tree walks
-  /// against the flattened traversal).
+  /// against the blocked kernels).
   std::span<const DecisionTreeRegressor> trees() const { return trees_; }
   /// The blocked breadth-first inference layout (rebuilt after every
   /// fit/refresh/load; benchmarks and equivalence tests drive the
@@ -64,7 +72,8 @@ class RandomForestRegressor {
 
   /// Retrain `count` randomly chosen trees on fresh bootstraps of `data`
   /// (the incremental-update primitive; no-op count==0). If the forest is
-  /// unfitted this behaves like fit().
+  /// unfitted this behaves like fit(); on a fitted forest, data of
+  /// another width than feature_count() throws std::invalid_argument.
   void refresh_trees(const Dataset& data, std::size_t count, stats::Rng& rng);
 
   const ForestConfig& config() const { return config_; }
@@ -74,19 +83,15 @@ class RandomForestRegressor {
 
  private:
   void fit_one(const Dataset& data, std::size_t slot, std::uint64_t seed);
-  /// Rebuild the flattened inference buffer from trees_ (after any
-  /// training or load).
-  void rebuild_flat();
-  double traverse(std::size_t tree, std::span<const double> x) const;
+  /// Throws std::invalid_argument when a fitted forest is asked about
+  /// rows of `width` < feature_count_.
+  void check_width(std::size_t width) const;
 
   ForestConfig config_;
   std::vector<DecisionTreeRegressor> trees_;
   std::size_t feature_count_ = 0;
-  /// All trees' node arrays back to back; tree t occupies
-  /// [flat_offsets_[t], flat_offsets_[t + 1]) with tree-local child links.
-  std::vector<DecisionTreeRegressor::Node> flat_nodes_;
-  std::vector<std::size_t> flat_offsets_;
-  /// Breadth-first SoA mirror of flat_nodes_ for the blocked kernels.
+  /// Breadth-first mirror of trees_ for the blocked kernels, rebuilt
+  /// after every fit, refresh and load.
   BlockedForest blocked_;
 };
 

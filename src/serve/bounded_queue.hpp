@@ -62,7 +62,7 @@ class BoundedQueue {
       // Host-time deadline is sanctioned here: the queue is the serving
       // layer's real-time primitive (see serve/clock.hpp).
       const auto deadline =
-          std::chrono::steady_clock::now() + linger;  // gsight-lint: allow(wall-clock)
+          std::chrono::steady_clock::now() + linger;  // gsight-analyze: allow(wall-clock)
       while (!closed_ && items_.size() < max) {
         if (ready_.wait_until(lock.raw(), deadline) ==
             std::cv_status::timeout) {

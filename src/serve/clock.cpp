@@ -10,7 +10,7 @@ namespace gsight::serve {
 // sim::Engine::now() — the lint waiver is scoped to exactly these lines.
 std::uint64_t SteadyClock::now_ns() const {
   const auto t =
-      std::chrono::steady_clock::now();  // gsight-lint: allow(wall-clock)
+      std::chrono::steady_clock::now();  // gsight-analyze: allow(wall-clock)
   return static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           t.time_since_epoch())

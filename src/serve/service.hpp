@@ -181,7 +181,7 @@ class PredictionService {
 
   const ServiceConfig& config() const { return config_; }
   // Not the C clock() call: an accessor for the injected time source.
-  const Clock* clock() const { return clock_; }  // gsight-lint: allow(wall-clock)
+  const Clock* clock() const { return clock_; }  // gsight-analyze: allow(wall-clock)
   /// The internal manual clock (synchronous mode with no explicit clock
   /// configured); nullptr otherwise.
   ManualClock* manual_clock() { return own_clock_.get(); }

@@ -44,7 +44,7 @@ class EventQueue {
     // Exact comparison of stored (not computed) times is the tie-break
     // that makes replay deterministic, so the lint rule is waived here.
     return a.when < b.when ||
-           (a.when == b.when && a.seq < b.seq);  // gsight-lint: allow(simtime-eq)
+           (a.when == b.when && a.seq < b.seq);  // gsight-analyze: allow(simtime-eq)
   }
   void sift_up(std::size_t i);
   void sift_down(Key k);

@@ -84,7 +84,7 @@ std::vector<std::pair<double, double>> empirical_cdf(std::vector<double> values,
   // Ensure the curve ends at (max, 1.0). Comparing values alone is wrong
   // when the maximum is duplicated: the last emitted point can carry the
   // max value with a fraction < 1, so patch the fraction in place.
-  if (pts.back().first == values.back()) {  // gsight-lint: allow(simtime-eq)
+  if (pts.back().first == values.back()) {  // gsight-analyze: allow(simtime-eq)
     pts.back().second = 1.0;
   } else {
     pts.emplace_back(values.back(), 1.0);

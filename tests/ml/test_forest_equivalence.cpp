@@ -11,6 +11,7 @@
 #include <limits>
 #include <span>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "ml/incremental_forest.hpp"
@@ -314,20 +315,16 @@ TEST(ForestEquivalence, PredictBatchOnUnfittedForestIsZero) {
 }
 
 // --- Inference-kernel equivalence -----------------------------------------
-// Every traversal backend (reference pointer-chase, scalar-blocked,
-// AVX2, and both batched gather variants) must agree to the bit: the
-// blocked kernels do no arithmetic the reference doesn't (compares and
-// one mean reduction in the same tree order), so EXPECT_EQ, not NEAR.
+// Both blocked kernels (tree-lane leaves and row-lane gather) must agree
+// with the reference per-tree walk to the bit: they do no arithmetic the
+// reference doesn't (compares and one mean reduction in the same tree
+// order), so EXPECT_EQ, not NEAR.
 
-// Per-row leaf walk through one backend, reduced exactly like predict().
-double predict_via(const RandomForestRegressor& forest,
-                   std::span<const double> x, bool simd) {
+// Per-row tree-lane walk, reduced exactly like predict().
+double predict_via_leaves(const RandomForestRegressor& forest,
+                          std::span<const double> x) {
   std::vector<double> leaves(forest.blocked().tree_count());
-  if (simd) {
-    forest_kernel::leaves_simd(forest.blocked(), x, leaves);
-  } else {
-    forest_kernel::leaves_scalar(forest.blocked(), x, leaves);
-  }
+  forest_kernel::leaves(forest.blocked(), x, leaves);
   return forest_kernel::reduce_mean(leaves);
 }
 
@@ -347,11 +344,8 @@ TEST(ForestKernelEquivalence, ScalarBlockedMatchesReferenceOnTies) {
       q[f] = static_cast<double>(data_rng.uniform_index(5));
     }
     const double ref = forest.predict_reference(q);
-    EXPECT_EQ(forest.predict(q), ref) << "dispatched, row " << i;
-    EXPECT_EQ(predict_via(forest, q, /*simd=*/false), ref) << "scalar " << i;
-    if (forest_kernel::simd_available()) {
-      EXPECT_EQ(predict_via(forest, q, /*simd=*/true), ref) << "simd " << i;
-    }
+    EXPECT_EQ(forest.predict(q), ref) << "predict, row " << i;
+    EXPECT_EQ(predict_via_leaves(forest, q), ref) << "leaves, row " << i;
   }
 }
 
@@ -373,14 +367,66 @@ TEST(ForestKernelEquivalence, GatherVariantsMatchReferenceBatch) {
   }
   const auto ref = forest.predict_batch_reference(queries);
   std::vector<double> out(queries.rows());
-  forest_kernel::gather_scalar(forest.blocked(), queries, out);
+  forest_kernel::gather(forest.blocked(), queries, out);
   EXPECT_EQ(out, ref);
-  if (forest_kernel::simd_available()) {
-    std::fill(out.begin(), out.end(), -1.0);
-    forest_kernel::gather_simd(forest.blocked(), queries, out);
-    EXPECT_EQ(out, ref);
-  }
   EXPECT_EQ(forest.predict_batch(queries), ref);
+}
+
+// The blocked layout is rebuilt after every fit, refresh and load; each
+// rebuild must leave both kernels on the reference walk. 7 rows take the
+// per-row tree-lane path, 67 rows the row-lane gather with a ragged tail.
+void expect_kernels_match_reference(const RandomForestRegressor& forest,
+                                    const Matrix& narrow, const Matrix& wide) {
+  for (std::size_t r = 0; r < wide.rows(); ++r) {
+    EXPECT_EQ(forest.predict(wide.row(r)),
+              forest.predict_reference(wide.row(r)))
+        << "row " << r;
+  }
+  EXPECT_EQ(forest.predict_batch(narrow),
+            forest.predict_batch_reference(narrow));
+  EXPECT_EQ(forest.predict_batch(wide), forest.predict_batch_reference(wide));
+}
+
+TEST(ForestKernelEquivalence, MatchesReferenceAfterRefreshAndReload) {
+  stats::Rng data_rng(22);
+  Dataset data = tie_heavy_data(250, 6, data_rng);
+  ForestConfig cfg;
+  cfg.n_trees = 13;  // not a multiple of the lane width
+  cfg.tree.split_mode = SplitMode::kRandom;  // the deployed IRFR mode
+  RandomForestRegressor forest(cfg);
+  stats::Rng rng(47);
+  forest.fit(data, rng);
+
+  // Half the queries sit on the quantised thresholds, half between them.
+  Matrix narrow(0, 6), wide(0, 6);
+  std::vector<double> q(6);
+  for (int i = 0; i < 67; ++i) {
+    for (auto& v : q) {
+      v = i % 2 == 0 ? static_cast<double>(data_rng.uniform_index(5))
+                     : data_rng.uniform(-0.5, 4.5);
+    }
+    wide.push_row(q);
+    if (i < 7) narrow.push_row(q);
+  }
+  {
+    SCOPED_TRACE("after fit");
+    expect_kernels_match_reference(forest, narrow, wide);
+  }
+  for (int round = 1; round <= 3; ++round) {
+    data.append(tie_heavy_data(60, 6, data_rng));
+    forest.refresh_trees(data, 5, rng);
+    SCOPED_TRACE("after refresh round " + std::to_string(round));
+    expect_kernels_match_reference(forest, narrow, wide);
+  }
+  std::stringstream saved;
+  forest.save(saved);
+  RandomForestRegressor loaded;
+  loaded.load(saved);
+  {
+    SCOPED_TRACE("after save/load");
+    expect_kernels_match_reference(loaded, narrow, wide);
+    EXPECT_EQ(loaded.predict_batch(wide), forest.predict_batch(wide));
+  }
 }
 
 TEST(ForestKernelEquivalence, BlockedLayoutInvariants) {
@@ -415,7 +461,7 @@ TEST(ForestKernelEquivalence, EmptyAndUnfittedForests) {
   EXPECT_TRUE(forest.blocked().empty());
   Matrix queries(0, 4);
   std::vector<double> none;
-  forest_kernel::gather_scalar(forest.blocked(), queries, none);
+  forest_kernel::gather(forest.blocked(), queries, none);
   EXPECT_TRUE(none.empty());
   queries.push_row(std::vector<double>{0.0, 1.0, 2.0, 3.0});
   EXPECT_EQ(forest.predict_batch(queries), std::vector<double>{0.0});

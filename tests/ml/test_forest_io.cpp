@@ -190,6 +190,30 @@ TEST(ForestIo, RejectsCorruptRngState) {
   EXPECT_THROW(load_incremental_forest(corrupt), std::runtime_error);
 }
 
+// partial_fit appends to the restored buffer, so a buffer whose width
+// differs from the forest's feature count must not load.
+TEST(ForestIo, RejectsBufferWidthMismatch) {
+  stats::Rng rng(14);
+  IncrementalForestConfig cfg;
+  cfg.forest.n_trees = 4;
+  IncrementalForest model(cfg, 19);
+  model.partial_fit(make_data(60, rng));
+  std::stringstream buffer;
+  save_incremental_forest(model, buffer);
+  const std::string text = buffer.str();
+  const auto data_pos = text.find("\ndataset ");
+  ASSERT_NE(data_pos, std::string::npos);
+  for (const char* body : {"\ndataset 0 3\n", "\ndataset 0 5\n",
+                           "\ndataset 1 5\n1 0 0 0 0 0\n"}) {
+    SCOPED_TRACE(body);
+    std::stringstream corrupt(text.substr(0, data_pos) + body);
+    EXPECT_THROW(load_incremental_forest(corrupt), std::runtime_error);
+  }
+  // The same text with the matching width still loads.
+  std::stringstream good(text.substr(0, data_pos) + "\ndataset 0 4\n");
+  EXPECT_EQ(load_incremental_forest(good).samples_seen(), 0u);
+}
+
 TEST(ForestIo, RejectsCorruptInput) {
   std::stringstream garbage("this is not a forest");
   RandomForestRegressor forest;

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
+#include <vector>
 
 #include "ml/metrics.hpp"
 #include "ml/random_forest.hpp"
@@ -168,6 +170,42 @@ TEST(RandomForest, ImportanceNormalizedAndInformative) {
 TEST(RandomForest, UnfittedPredictsZero) {
   RandomForestRegressor forest;
   EXPECT_DOUBLE_EQ(forest.predict(std::vector<double>{1.0}), 0.0);
+}
+
+// A row narrower than the forest's training width would let a split read
+// past its end; every inference entry point must refuse it instead.
+TEST(RandomForest, RejectsRowsNarrowerThanFeatureCount) {
+  stats::Rng rng(31);
+  ForestConfig cfg;
+  cfg.n_trees = 10;
+  RandomForestRegressor forest(cfg);
+  forest.fit(smooth_data(200, rng), rng);
+  ASSERT_EQ(forest.feature_count(), 4u);
+
+  const std::vector<double> narrow_row{0.5, -0.5, 0.1};
+  EXPECT_THROW(forest.predict(narrow_row), std::invalid_argument);
+  EXPECT_THROW(forest.predict_reference(narrow_row), std::invalid_argument);
+  for (const std::size_t rows : {7u, 67u}) {  // tree-lane and gather paths
+    Matrix xs(0, 3);
+    for (std::size_t r = 0; r < rows; ++r) xs.push_row(narrow_row);
+    EXPECT_THROW(forest.predict_batch(xs), std::invalid_argument) << rows;
+  }
+  // Full-width (and wider) rows still predict.
+  EXPECT_NO_THROW(forest.predict(std::vector<double>{0.5, -0.5, 0.1, 0.2}));
+  EXPECT_NO_THROW(
+      forest.predict(std::vector<double>{0.5, -0.5, 0.1, 0.2, 9.0}));
+}
+
+TEST(RandomForest, RefreshRejectsDataOfAnotherWidth) {
+  stats::Rng rng(32);
+  ForestConfig cfg;
+  cfg.n_trees = 6;
+  RandomForestRegressor forest(cfg);
+  forest.fit(smooth_data(150, rng), rng);
+  EXPECT_THROW(forest.refresh_trees(step_data(150, rng), 2, rng),
+               std::invalid_argument);
+  EXPECT_EQ(forest.feature_count(), 4u);
+  EXPECT_NO_THROW(forest.refresh_trees(smooth_data(150, rng), 2, rng));
 }
 
 TEST(RandomForest, RefreshTreesTracksDrift) {

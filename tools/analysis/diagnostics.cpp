@@ -4,14 +4,19 @@
 #include <cctype>
 #include <iostream>
 #include <regex>
+#include <set>
 #include <sstream>
+#include <string>
 
 namespace gsight::analysis {
 
+namespace {
+
+/// Rules waived on this raw line.
 std::set<std::string> allowed_rules(const std::string& raw_line) {
   std::set<std::string> out;
   static const std::regex kAllow(
-      R"(gsight-(?:lint|analyze):\s*allow\(([A-Za-z0-9_,\- ]+)\))");
+      R"(gsight-analyze:\s*allow\(([A-Za-z0-9_,\- ]+)\))");
   std::smatch m;
   if (std::regex_search(raw_line, m, kAllow)) {
     std::stringstream ss(m[1].str());
@@ -24,6 +29,8 @@ std::set<std::string> allowed_rules(const std::string& raw_line) {
   }
   return out;
 }
+
+}  // namespace
 
 bool waived(const LexedFile& file, std::size_t line,
             const std::string& rule) {

@@ -1,19 +1,16 @@
-// Shared diagnostic plumbing for gsight_lint and gsight_analyze: the
+// Shared diagnostic plumbing for the gsight_analyze passes: the
 // Violation record, the per-line waiver syntax, and the SourceSet (one
 // lexed view of every file under a scan root).
 //
 // Waivers: a raw source line carrying
-//     // gsight-lint: allow(rule-a,rule-b)
-// or  // gsight-analyze: allow(rule-a,rule-b)
-// waives exactly those rules on exactly that line (the two tool prefixes
-// are interchangeable; use the one matching the tool that reports the
-// finding). File-wide waivers are deliberately not offered — every
-// exception stays visible where it happens.
+//     // gsight-analyze: allow(rule-a,rule-b)
+// waives exactly those rules on exactly that line. File-wide waivers are
+// deliberately not offered — every exception stays visible where it
+// happens.
 #pragma once
 
 #include <cstddef>
 #include <map>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -27,9 +24,6 @@ struct Violation {
   std::string rule;
   std::string message;
 };
-
-/// Rules waived on this raw line (either tool prefix).
-std::set<std::string> allowed_rules(const std::string& raw_line);
 
 /// True when `rule` is waived on line `line` (1-based) of `file`.
 bool waived(const LexedFile& file, std::size_t line, const std::string& rule);
@@ -49,7 +43,7 @@ void add_source(SourceSet* set, const std::string& rel,
                 const std::string& text);
 
 /// Print violations in file:line: [rule] message form and a summary
-/// line prefixed with `tool`; returns the lint-style exit code (0 clean,
+/// line prefixed with `tool`; returns the analyzer exit code (0 clean,
 /// 1 violations).
 int report(const std::string& tool, const std::vector<Violation>& violations,
            std::size_t files_scanned);

@@ -1,13 +1,12 @@
-// Shared lexical front end for the repo's static-analysis tools
-// (gsight_lint, gsight_analyze). One scan of a translation unit yields
-// three synchronized views:
+// Shared lexical front end for the gsight_analyze passes. One scan of a
+// translation unit yields three synchronized views:
 //
 //   raw    — the original lines, for reporting and waiver parsing;
 //   code   — the lines with comments and string/char literals blanked
-//            (the view the line-oriented lint rules match against);
+//            (the view the line-oriented hygiene rules match against);
 //   tokens — a real C++ token stream (identifiers, numbers, literals,
 //            multi-character punctuation) with line/column positions,
-//            the view the token-aware gsight_analyze passes consume.
+//            the view the token-aware passes consume.
 //
 // This is a *lexer*, not a parser: it understands comments, raw strings,
 // digit separators and maximal-munch operators, but it does not expand
