@@ -44,6 +44,11 @@
 #      gsight-live/v1 schema, and no request may be lost across the
 #      re-shard. A deterministic admission-bound capacity run then checks
 #      the 4-replica fleet serves >= 3x the single-service throughput
+#   7c. contracts-off twin: gsight_cli built with -DGSIGHT_CONTRACT_LEVEL=0
+#      reruns stage 6's serial campaign, 6b's 1-lane shard dump, 6c's
+#      cloning dump, 7's synchronous serve twin and 7b's fleet twin with
+#      its live stream; every artifact must match the default build's
+#      (reports modulo wall_time_s) — contracts have no side effects
 #
 # Each stage gets its own build tree under build-check/ so the developer's
 # main build/ directory is never clobbered. Warnings are errors everywhere.
@@ -138,7 +143,7 @@ fi
 
 if [[ "$FAST" == "1" ]]; then
   banner "--fast: skipping sanitizer stages"
-  skip "3-7b sanitizers, bench smoke, perf guard, twin runs" "--fast"
+  skip "3-7c sanitizers, bench smoke, perf guard, twin runs" "--fast"
   exit 0
 fi
 
@@ -382,5 +387,40 @@ awk -v s="$single_rps" -v f="$fleet_rps" \
   'BEGIN { exit (s > 0 && f >= 3 * s ? 0 : 1) }' \
   || { echo "fleet capacity: $fleet_rps rps vs single $single_rps rps (< 3x)"; exit 1; }
 echo "fleet-of-4 capacity: $fleet_rps rps vs single $single_rps rps (>= 3x)"
+
+# --- 7c. Contracts-off twin ----------------------------------------------------
+banner "contracts-off twin: GSIGHT_CONTRACT_LEVEL=0 artifacts vs the default build"
+C0_DIR="$ROOT/build-check/contracts0"
+cmake -B "$C0_DIR" -S "$ROOT" -DGSIGHT_WERROR=ON -DGSIGHT_CONTRACT_LEVEL=0 \
+      > "$C0_DIR.configure.log" 2>&1 || { cat "$C0_DIR.configure.log"; exit 1; }
+cmake --build "$C0_DIR" -j "$JOBS" --target gsight_cli \
+      > "$C0_DIR.build.log" 2>&1 || { tail -n 40 "$C0_DIR.build.log"; exit 1; }
+C0_CLI="$C0_DIR/tools/gsight"
+C0_OUT="$C0_DIR/twin"
+rm -rf "$C0_OUT" && mkdir -p "$C0_OUT/serve" "$C0_OUT/fleet"
+# The same argument sets as stages 6-7b: a contract check that changed
+# state (or that an optimiser could exploit) would show up as a diff.
+"$C0_CLI" campaign --threads 1 --seed 4242 --count 8 \
+  --dump "$C0_OUT/campaign.dump" > /dev/null
+"$C0_CLI" campaign --shards 1 --threads 1 --seed 4242 \
+  --clusters 8 --servers 4 --horizon 60 --dump "$C0_OUT/shard.dump" > /dev/null
+"$C0_CLI" campaign --shards 1 --threads 1 "${CLONE_ARGS[@]}" \
+  --dump "$C0_OUT/clone.dump" > /dev/null
+"$C0_CLI" serve-bench --threads 0 "${SERVE_ARGS[@]}" \
+  --out "$C0_OUT/serve" > /dev/null
+"$C0_CLI" serve-bench "${FLEET_ARGS[@]}" \
+  --live "$C0_OUT/fleet/live.ndjson" --out "$C0_OUT/fleet" > /dev/null
+grep -v '"wall_time_s"' "$C0_OUT/serve/BENCH_serve.json" > "$C0_OUT/serve.stripped"
+grep -v '"wall_time_s"' "$C0_OUT/fleet/BENCH_serve_fleet.json" > "$C0_OUT/fleet.stripped"
+same_artifact() {
+  cmp "$1" "$2" || { echo "contracts-off twin: $2 differs from $1"; exit 1; }
+}
+same_artifact "$EQ_DIR/serial.dump" "$C0_OUT/campaign.dump"
+same_artifact "$SHARD_DIR/lanes1.dump" "$C0_OUT/shard.dump"
+same_artifact "$CLONE_EQ_DIR/lanes1.dump" "$C0_OUT/clone.dump"
+same_artifact "$SERVE_DIR/twin1.stripped" "$C0_OUT/serve.stripped"
+same_artifact "$FLEET_DIR/twin1.stripped" "$C0_OUT/fleet.stripped"
+same_artifact "$FLEET_DIR/twin1/live.ndjson" "$C0_OUT/fleet/live.ndjson"
+echo "contract level 0 reproduces all five artifacts byte-for-byte"
 
 banner "all checks passed"

@@ -112,7 +112,9 @@ class ScopedContractHandler {
 
 // Message argument is optional: GSIGHT_ASSERT(cond) or
 // GSIGHT_ASSERT(cond, "context"). Messages are only materialised on the
-// failure path.
+// failure path. A compiled-out contract still names `cond`, inside
+// sizeof: that emits no code and evaluates nothing, but a variable only a
+// contract reads is not "unused", so lower levels build warning-free.
 #if GSIGHT_CONTRACT_LEVEL >= 1
 #define GSIGHT_ASSERT(cond, ...)                                       \
   do {                                                                 \
@@ -123,7 +125,7 @@ class ScopedContractHandler {
     }                                                                  \
   } while (false)
 #else
-#define GSIGHT_ASSERT(cond, ...) ((void)0)
+#define GSIGHT_ASSERT(cond, ...) ((void)sizeof(!(cond)))
 #endif
 
 #if GSIGHT_CONTRACT_LEVEL >= 2
@@ -136,7 +138,7 @@ class ScopedContractHandler {
     }                                                                  \
   } while (false)
 #else
-#define GSIGHT_INVARIANT(cond, ...) ((void)0)
+#define GSIGHT_INVARIANT(cond, ...) ((void)sizeof(!(cond)))
 #endif
 
 // ---------------------------------------------------------------------------

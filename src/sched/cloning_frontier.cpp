@@ -1,5 +1,8 @@
 #include "sched/cloning_frontier.hpp"
 
+#include <cmath>
+#include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "sim/platform.hpp"
@@ -147,8 +150,34 @@ void CloningFrontierResult::write_into(obs::RunReport& report) const {
   }
 }
 
+void CloningFrontierConfig::validate() const {
+  auto fail = [](const char* what) {
+    throw std::invalid_argument(std::string("CloningFrontierConfig: ") + what);
+  };
+  if (replications == 0) fail("replications must be at least 1");
+  if (servers == 0) fail("servers must be at least 1");
+  if (!(std::isfinite(qps) && qps > 0.0)) {
+    fail("qps must be finite and positive");
+  }
+  if (!(std::isfinite(duration_s) && duration_s > 0.0)) {
+    fail("duration_s must be finite and positive");
+  }
+  if (!(std::isfinite(drain_s) && drain_s >= 0.0)) {
+    fail("drain_s must be finite and non-negative");
+  }
+  if (!(std::isfinite(jitter_sigma) && jitter_sigma >= 0.0)) {
+    fail("jitter_sigma must be finite and non-negative");
+  }
+  if (clone_factors.empty()) fail("clone_factors must not be empty");
+  if (interference_levels.empty()) {
+    fail("interference_levels must not be empty");
+  }
+  if (disciplines.empty()) fail("disciplines must not be empty");
+}
+
 CloningFrontierResult run_cloning_frontier(
     const CloningFrontierConfig& config) {
+  config.validate();
   CloningFrontierResult result;
   core::CampaignRunner runner(config.campaign);
   std::size_t cell_index = 0;

@@ -39,6 +39,13 @@ struct CloningFrontierConfig {
   double jitter_sigma = 0.6;
   std::uint64_t seed = 20210914;
   core::CampaignOptions campaign;
+
+  /// Throws std::invalid_argument naming the first bad field: fewer than
+  /// one replication or server, a non-finite or non-positive qps or
+  /// duration_s, a non-finite or negative drain_s or jitter_sigma, or an
+  /// empty factor, level or discipline list. run_cloning_frontier calls
+  /// this first, so a bad sweep never writes a report of zeros.
+  void validate() const;
 };
 
 /// One (clone factor, interference level, discipline) cell of the sweep.

@@ -49,9 +49,12 @@ PredictionFleet::PredictionFleet(FleetRequest request,
                                  ml::IncrementalForest model)
     : request_(validated(std::move(request))),
       router_(request_.router, request_.replicas, request_.vnodes_per_replica),
-      model_(std::move(model)),
-      observations_(request_.service.observe_capacity),
-      routed_(request_.replicas) {
+      routed_(request_.replicas),
+      trainer_(request_.service, std::move(model),
+               [this](std::shared_ptr<const ModelSnapshot> snap) {
+                 fan_out(std::move(snap));
+                 return true;
+               }) {
   ServiceConfig sc = request_.service;
   if (sc.clock == nullptr && sc.worker_threads == 0) {
     // One ManualClock shared by every replica: the whole fleet lives on a
@@ -61,12 +64,13 @@ PredictionFleet::PredictionFleet(FleetRequest request,
   }
   clock_ = sc.clock != nullptr ? sc.clock : &SteadyClock::instance();
   start_ns_ = clock_->now_ns();
-  if (model_.version() > 0) latest_snap_ = ModelSnapshot::freeze(model_);
+  latest_snap_ = trainer_.trained_snapshot();
   replicas_.reserve(request_.replicas);
   for (std::size_t r = 0; r < request_.replicas; ++r) {
-    // Replicas carry a cold internal model — their own trainer never runs
-    // (the fleet trains centrally and publishes into their slots), so one
-    // frozen snapshot is shared instead of copying the forest N times.
+    // Replicas carry a cold internal model — their own trainer never sees
+    // an observation (the fleet trains centrally and publishes into their
+    // slots), so one frozen snapshot is shared instead of copying the
+    // forest N times.
     auto svc = std::make_unique<PredictionService>(sc, ml::IncrementalForest());
     if (latest_snap_) svc->publish(latest_snap_);
     replicas_.push_back(std::move(svc));
@@ -75,30 +79,17 @@ PredictionFleet::PredictionFleet(FleetRequest request,
 
 PredictionFleet::~PredictionFleet() { stop(); }
 
+// Both are idempotent because each step is: a service ignores start()
+// after its stop(), and stopping a trainer or a service twice is safe.
 void PredictionFleet::start() {
-  {
-    core::MutexLock lock(lifecycle_mutex_);
-    if (started_ || stopped_) return;
-    started_ = true;
-    if (request_.service.worker_threads > 0) {
-      trainer_pool_ = std::make_unique<ml::ThreadPool>(1);
-    }
-  }
   for (auto& r : replicas_) r->start();
 }
 
 void PredictionFleet::stop() {
-  {
-    core::MutexLock lock(lifecycle_mutex_);
-    if (stopped_) return;
-    stopped_ = true;
-    accepting_.store(false, std::memory_order_release);
-  }
-  // Close intake first; a queued training task still drains what is
-  // already buffered (close keeps items poppable), then replicas finish
-  // their own queues on stop().
-  observations_.close();
-  trainer_pool_.reset();
+  // Close intake first; a scheduled training round still folds what is
+  // already buffered, then replicas finish their own queues on stop().
+  accepting_.store(false, std::memory_order_release);
+  trainer_.stop();
   for (auto& r : replicas_) r->stop();
 }
 
@@ -144,61 +135,20 @@ std::optional<std::size_t> PredictionFleet::submit(std::uint64_t key,
   return target;
 }
 
-bool PredictionFleet::observe(std::vector<double> features, double label) {
-  if (features.size() != request_.service.feature_dim) {
-    throw std::invalid_argument(
-        "PredictionFleet::observe: feature dimension mismatch");
-  }
-  if (!accepting_.load(std::memory_order_acquire)) {
-    observed_shed_.fetch_add(1, std::memory_order_relaxed);
-    return false;
-  }
-  Sample sample;
-  sample.features = std::move(features);
-  sample.label = label;
-  if (!observations_.try_push(std::move(sample))) {
-    observed_shed_.fetch_add(1, std::memory_order_relaxed);
-    return false;
-  }
-  observed_.fetch_add(1, std::memory_order_relaxed);
-  if (request_.service.worker_threads > 0) maybe_schedule_train();
-  return true;
-}
-
 std::size_t PredictionFleet::poll() {
   std::size_t served = 0;
   // Draining replicas are polled too: a drained queue must still empty —
   // that is the "finish in-flight" half of the drain protocol.
   for (auto& r : replicas_) served += r->poll();
-  if (observations_.size() >= request_.service.train_batch) train_round();
+  trainer_.train_if_due();
   return served;
 }
 
 std::size_t PredictionFleet::poll_replica(std::size_t replica) {
   GSIGHT_ASSERT(replica < replicas_.size(), "fleet replica out of range");
   const std::size_t served = replicas_[replica]->poll();
-  if (observations_.size() >= request_.service.train_batch) train_round();
+  trainer_.train_if_due();
   return served;
-}
-
-bool PredictionFleet::train_now() { return train_round(); }
-
-bool PredictionFleet::train_round() {
-  std::shared_ptr<const ModelSnapshot> snap;
-  {
-    core::MutexLock lock(train_mutex_);
-    std::vector<Sample> drained;
-    observations_.try_pop_batch(drained, request_.service.max_train_drain);
-    if (drained.empty()) return false;
-    ml::Dataset batch(request_.service.feature_dim);
-    for (const auto& s : drained) batch.add(s.features, s.label);
-    model_.partial_fit(batch);
-    train_rounds_.fetch_add(1, std::memory_order_relaxed);
-    // Freeze under the training lock (the model cannot advance mid-copy).
-    snap = ModelSnapshot::freeze(model_);
-  }
-  fan_out(std::move(snap));
-  return true;
 }
 
 std::uint64_t PredictionFleet::fan_out(
@@ -221,21 +171,6 @@ std::uint64_t PredictionFleet::fan_out(
   mark("fleet.publish", {{"version", std::to_string(version)},
                          {"watermark", std::to_string(wm)}});
   return wm;
-}
-
-void PredictionFleet::maybe_schedule_train() {
-  if (observations_.size() < request_.service.train_batch) return;
-  if (train_pending_.exchange(true, std::memory_order_acq_rel)) return;
-  core::MutexLock lock(lifecycle_mutex_);
-  if (!accepting_.load(std::memory_order_acquire) || !trainer_pool_) {
-    train_pending_.store(false, std::memory_order_release);
-    return;
-  }
-  trainer_pool_->submit([this] {
-    train_round();
-    train_pending_.store(false, std::memory_order_release);
-    maybe_schedule_train();
-  });
 }
 
 void PredictionFleet::drain(std::size_t replica) {
@@ -312,9 +247,9 @@ FleetStats PredictionFleet::stats() const {
   s.submitted = submitted_.load(std::memory_order_relaxed);
   s.completed = completed_.load(std::memory_order_relaxed);
   s.shed = shed_.load(std::memory_order_relaxed);
-  s.observations = observed_.load(std::memory_order_relaxed);
-  s.observations_shed = observed_shed_.load(std::memory_order_relaxed);
-  s.train_rounds = train_rounds_.load(std::memory_order_relaxed);
+  s.observations = trainer_.observations();
+  s.observations_shed = trainer_.observations_shed();
+  s.train_rounds = trainer_.rounds();
   s.publishes = publishes_.load(std::memory_order_relaxed);
   s.drains = drains_.load(std::memory_order_relaxed);
   s.readds = readds_.load(std::memory_order_relaxed);

@@ -7,9 +7,10 @@
 //     re-shard) or least-queued (load balancing on live queue depth).
 //
 //   * Central training, fan-out publishing — the fleet owns the single
-//     training model; observations feed one fleet-level queue and each
-//     training round freezes one snapshot that is pushed into every
-//     *active* replica's SnapshotSlot. The fleet-wide version watermark
+//     OnlineTrainer (the service's trainer); observations feed its queue
+//     and each round freezes one snapshot that is pushed into every
+//     *active* replica's SnapshotSlot. Replicas train nothing themselves,
+//     so they never start a trainer thread. The fleet-wide version watermark
 //     is the minimum snapshot version across active replicas: a publish
 //     is only "fleet-visible" once the watermark reaches it. Replicas
 //     lagging the latest published version are tracked as stale.
@@ -24,7 +25,7 @@
 //
 // Like PredictionService, the fleet runs in two regimes sharing all of
 // this code: threaded (service.worker_threads > 0; real clocks, each
-// replica's own workers, a fleet trainer thread) and synchronous
+// replica's own workers, one fleet trainer thread) and synchronous
 // (worker_threads == 0; the caller drives every replica through
 // poll()/poll_replica() on one fleet-wide ManualClock — fully
 // deterministic, which is what makes fleet twin runs byte-identical).
@@ -45,10 +46,8 @@
 
 #include "core/lock.hpp"
 #include "ml/incremental_forest.hpp"
-#include "ml/thread_pool.hpp"
 #include "obs/live_stream.hpp"
 #include "obs/metrics.hpp"
-#include "serve/bounded_queue.hpp"
 #include "serve/router.hpp"
 #include "serve/service.hpp"
 
@@ -113,7 +112,8 @@ class PredictionFleet {
   PredictionFleet(const PredictionFleet&) = delete;
   PredictionFleet& operator=(const PredictionFleet&) = delete;
 
-  /// Start every replica (and the fleet trainer in threaded mode).
+  /// Start every replica's workers (the fleet trainer thread starts with
+  /// its first background round).
   void start();
   /// Stop intake, drain replicas, join everything. Idempotent.
   void stop();
@@ -128,7 +128,9 @@ class PredictionFleet {
                                     Callback done);
 
   /// Feed one labelled observation toward the fleet trainer.
-  bool observe(std::vector<double> features, double label);
+  bool observe(std::vector<double> features, double label) {
+    return trainer_.observe(std::move(features), label);
+  }
 
   /// Synchronous mode: serve one micro-batch on every replica (active or
   /// draining — drained queues must still empty), then run a training
@@ -139,7 +141,7 @@ class PredictionFleet {
 
   /// Fold queued observations now and fan the snapshot out. True if a
   /// new version was published.
-  bool train_now();
+  bool train_now() { return trainer_.train_round(); }
 
   /// Remove a replica from the router and (threaded mode) wait for its
   /// in-flight requests to finish. Refuses to drain the last active
@@ -179,13 +181,6 @@ class PredictionFleet {
   PredictionService& replica(std::size_t r) { return *replicas_[r]; }
 
  private:
-  struct Sample {
-    std::vector<double> features;
-    double label = 0.0;
-  };
-
-  bool train_round() GSIGHT_EXCLUDES(train_mutex_, route_mutex_);
-  void maybe_schedule_train() GSIGHT_EXCLUDES(lifecycle_mutex_);
   /// Push a frozen snapshot to every active replica and refresh
   /// latest_snap_. Returns the post-publish watermark.
   std::uint64_t fan_out(std::shared_ptr<const ModelSnapshot> snap)
@@ -211,37 +206,20 @@ class PredictionFleet {
   std::shared_ptr<const ModelSnapshot> latest_snap_
       GSIGHT_GUARDED_BY(route_mutex_);
 
-  /// The central training model.
-  core::Mutex train_mutex_;
-  ml::IncrementalForest model_ GSIGHT_GUARDED_BY(train_mutex_);
-
-  /// Internally synchronized (owns its own core::Mutex).
-  BoundedQueue<Sample> observations_;  // gsight-analyze: allow(unguarded-member)
-
-  /// Lifecycle, mirroring PredictionService: fences trainer-pool
-  /// submission so stop() can drain the pool race-free.
-  core::Mutex lifecycle_mutex_;
-  std::atomic<bool> accepting_{true};
-  std::atomic<bool> train_pending_{false};
-  bool started_ GSIGHT_GUARDED_BY(lifecycle_mutex_) = false;
-  bool stopped_ GSIGHT_GUARDED_BY(lifecycle_mutex_) = false;
-  /// Created by start() under lifecycle_mutex_, reset by the single
-  /// stop() that wins the stopped_ flip (outside the lock, like the
-  /// service's worker join — see service.hpp).
-  std::unique_ptr<ml::ThreadPool> trainer_pool_;  // gsight-analyze: allow(unguarded-member)
-
   std::atomic<obs::LiveStreamSink*> live_{nullptr};
+  std::atomic<bool> accepting_{true};
 
   std::atomic<std::uint64_t> submitted_{0};
   std::atomic<std::uint64_t> completed_{0};
   std::atomic<std::uint64_t> shed_{0};
-  std::atomic<std::uint64_t> observed_{0};
-  std::atomic<std::uint64_t> observed_shed_{0};
-  std::atomic<std::uint64_t> train_rounds_{0};
   std::atomic<std::uint64_t> publishes_{0};
   std::atomic<std::uint64_t> drains_{0};
   std::atomic<std::uint64_t> readds_{0};
   std::vector<std::atomic<std::uint64_t>> routed_;
+
+  /// The central trainer; its rounds fan out. Internally synchronized,
+  /// and declared after everything fan_out touches.
+  OnlineTrainer trainer_;  // gsight-analyze: allow(unguarded-member)
 };
 
 }  // namespace gsight::serve

@@ -9,16 +9,18 @@
 //   closed loop — `clients` concurrent callers each submit, wait for the
 //                 result, and repeat: the scheduler-in-the-loop shape.
 //
-// Against a synchronous target (worker_threads == 0) the driver runs the
-// open loop on a virtual timeline (ManualClock): arrivals, batch-forming
-// deadlines and completions all advance deterministically, so two runs
-// with the same seed produce byte-identical latency distributions and
-// shed/batch counters — the serve-bench determinism gate. Fleet runs add
-// per-replica batch deadlines, execute the FleetRequest drain schedule at
-// its request indices, and (with live_every set) stream metric deltas to
-// the fleet's live sink — all on the same virtual timeline, so even a
-// mid-run drain/re-add twin run stays byte-identical. Against a threaded
-// target both loops run in real time.
+// There is one loop body per regime, each a template over the target: a
+// service is driven as a one-replica fleet with no drain schedule and no
+// live stream. Against a synchronous target (worker_threads == 0) the
+// open loop runs on a virtual timeline (ManualClock): arrivals, per-
+// replica batch-forming deadlines and completions all advance
+// deterministically, so two runs with the same seed produce byte-
+// identical latency distributions and shed/batch counters — the
+// serve-bench determinism gate. A fleet's drain schedule fires at its
+// request indices and (with live_every set) metric deltas stream to its
+// live sink on the same virtual timeline, so even a mid-run drain/re-add
+// twin run stays byte-identical. Against a threaded target both loops run
+// in real time, and closed-loop clients wait on a promise either way.
 //
 // A configurable fraction of requests doubles as labelled observations
 // (features + synthetic ground truth) so the trainer publishes fresh
@@ -30,7 +32,6 @@
 
 #include "serve/fleet.hpp"
 #include "serve/service.hpp"
-#include "stats/rng.hpp"
 
 namespace gsight::serve {
 
@@ -105,11 +106,6 @@ class LoadDriver {
   static double label_of(const std::vector<double>& features);
 
  private:
-  std::vector<double> make_features(std::size_t dim, stats::Rng& rng) const;
-  LoadOutcome finalise(std::vector<double>& latencies_us,
-                       std::size_t submitted, std::size_t shed,
-                       double duration_s) const;
-
   DriverRequest request_;
 };
 

@@ -48,12 +48,89 @@ void ServiceConfig::validate() const {
   }
 }
 
+OnlineTrainer::OnlineTrainer(const ServiceConfig& config,
+                             ml::IncrementalForest model, Publish publish)
+    : config_(config),
+      publish_(std::move(publish)),
+      queue_(config.observe_capacity),
+      model_(std::move(model)) {}
+
+std::shared_ptr<const ModelSnapshot> OnlineTrainer::trained_snapshot() {
+  core::MutexLock lock(train_mutex_);
+  if (model_.version() == 0) return nullptr;
+  return ModelSnapshot::freeze(model_);
+}
+
+bool OnlineTrainer::observe(std::vector<double> features, double label) {
+  if (features.size() != config_.feature_dim) {
+    throw std::invalid_argument(
+        "OnlineTrainer::observe: feature dimension mismatch");
+  }
+  if (!accepting_.load(std::memory_order_acquire) ||
+      !queue_.try_push({std::move(features), label})) {
+    observed_shed_.fetch_add(1, std::memory_order_relaxed);
+    return false;
+  }
+  observed_.fetch_add(1, std::memory_order_relaxed);
+  if (config_.worker_threads > 0) maybe_schedule();
+  return true;
+}
+
+bool OnlineTrainer::train_round() {
+  core::MutexLock lock(train_mutex_);
+  std::vector<Observation> drained;
+  queue_.try_pop_batch(drained, config_.max_train_drain);
+  if (drained.empty()) return false;
+  ml::Dataset batch(config_.feature_dim);
+  for (const auto& obs : drained) batch.add(obs.features, obs.label);
+  model_.partial_fit(batch);
+  rounds_.fetch_add(1, std::memory_order_relaxed);
+  // Freeze and publish under the training lock: the model cannot advance
+  // mid-copy, and snapshots reach their destination in version order.
+  return publish_(ModelSnapshot::freeze(model_));
+}
+
+void OnlineTrainer::maybe_schedule() {
+  if (queue_.size() < config_.train_batch) return;
+  if (pending_.exchange(true, std::memory_order_acq_rel)) return;
+  core::MutexLock lock(pool_mutex_);
+  if (!accepting_.load(std::memory_order_acquire)) {
+    pending_.store(false, std::memory_order_release);
+    return;
+  }
+  if (!pool_) pool_ = std::make_unique<ml::ThreadPool>(1);
+  // Fire-and-forget: the future is intentionally dropped; sequencing is
+  // enforced by train_mutex_ plus the single-threaded pool.
+  pool_->submit([this] {
+    train_round();
+    pending_.store(false, std::memory_order_release);
+    // Re-check: observations may have crossed the threshold again while
+    // this round was running and submissions stopped arriving.
+    maybe_schedule();
+  });
+}
+
+void OnlineTrainer::stop() {
+  std::unique_ptr<ml::ThreadPool> pool;
+  {
+    core::MutexLock lock(pool_mutex_);
+    accepting_.store(false, std::memory_order_release);
+    pool = std::move(pool_);
+  }
+  // A closed queue stays poppable, so a round already queued on the pool
+  // still folds what it finds; the pool destructor runs it before joining.
+  queue_.close();
+  pool.reset();
+}
+
 PredictionService::PredictionService(ServiceConfig config,
                                      ml::IncrementalForest model)
     : config_(validated(config)),
       requests_(config.queue_capacity),
-      observations_(config.observe_capacity),
-      model_(std::move(model)),
+      trainer_(config_, std::move(model),
+               [this](std::shared_ptr<const ModelSnapshot> snap) {
+                 return slot_.publish(std::move(snap));
+               }),
       sync_scratch_(config.feature_dim),
       batch_size_counts_(config.max_batch) {
   if (config_.clock != nullptr) {
@@ -66,9 +143,7 @@ PredictionService::PredictionService(ServiceConfig config,
   }
   // A pre-trained model goes live immediately; a cold one serves zeros
   // until the first training round publishes version 1.
-  if (model_.version() > 0) {
-    slot_.publish(ModelSnapshot::freeze(model_));
-  }
+  if (auto snap = trainer_.trained_snapshot()) slot_.publish(std::move(snap));
 }
 
 PredictionService::~PredictionService() { stop(); }
@@ -78,7 +153,6 @@ void PredictionService::start() {
   if (started_ || stopped_) return;
   started_ = true;
   if (config_.worker_threads == 0) return;  // synchronous mode: poll-driven
-  trainer_pool_ = std::make_unique<ml::ThreadPool>(1);
   workers_.reserve(config_.worker_threads);
   for (std::size_t i = 0; i < config_.worker_threads; ++i) {
     workers_.emplace_back([this] { worker_loop(); });
@@ -92,16 +166,12 @@ void PredictionService::stop() {
     stopped_ = true;
     accepting_.store(false, std::memory_order_release);
   }
+  trainer_.stop();
   // Closing wakes blocked workers; they drain what is already queued
   // (every accepted request gets its callback) and exit.
   requests_.close();
   for (auto& w : workers_) w.join();
   workers_.clear();
-  observations_.close();
-  // The trainer pool destructor runs any still-queued training task
-  // before joining, so accepted observations are folded; accepting_ is
-  // already false, so those tasks cannot schedule successors.
-  trainer_pool_.reset();
 }
 
 bool PredictionService::submit(std::vector<double> features, Callback done) {
@@ -143,27 +213,6 @@ std::optional<PredictResult> PredictionService::predict_wait(
   return result.get();
 }
 
-bool PredictionService::observe(std::vector<double> features, double label) {
-  if (features.size() != config_.feature_dim) {
-    throw std::invalid_argument(
-        "PredictionService::observe: feature dimension mismatch");
-  }
-  if (!accepting_.load(std::memory_order_acquire)) {
-    observed_shed_.fetch_add(1, std::memory_order_relaxed);
-    return false;
-  }
-  Observation obs;
-  obs.features = std::move(features);
-  obs.label = label;
-  if (!observations_.try_push(std::move(obs))) {
-    observed_shed_.fetch_add(1, std::memory_order_relaxed);
-    return false;
-  }
-  observed_.fetch_add(1, std::memory_order_relaxed);
-  if (config_.worker_threads > 0) maybe_schedule_train();
-  return true;
-}
-
 std::size_t PredictionService::poll() {
   GSIGHT_ASSERT(config_.worker_threads == 0,
                 "poll drives synchronous mode only; threaded services "
@@ -172,11 +221,9 @@ std::size_t PredictionService::poll() {
   requests_.try_pop_batch(batch, config_.max_batch);
   const std::size_t served =
       batch.empty() ? 0 : process_batch(batch, sync_scratch_);
-  if (observations_.size() >= config_.train_batch) train_round();
+  trainer_.train_if_due();
   return served;
 }
-
-bool PredictionService::train_now() { return train_round(); }
 
 void PredictionService::worker_loop() {
   std::vector<Request> batch;
@@ -223,51 +270,15 @@ std::size_t PredictionService::process_batch(std::vector<Request>& batch,
   return batch.size();
 }
 
-bool PredictionService::train_round() {
-  core::MutexLock lock(train_mutex_);
-  std::vector<Observation> drained;
-  observations_.try_pop_batch(drained, config_.max_train_drain);
-  if (drained.empty()) return false;
-  ml::Dataset batch(config_.feature_dim);
-  for (const auto& obs : drained) batch.add(obs.features, obs.label);
-  model_.partial_fit(batch);
-  train_rounds_.fetch_add(1, std::memory_order_relaxed);
-  // Freeze under the training lock (the model cannot advance mid-copy),
-  // publish outside no later than here: the slot rejects stale versions,
-  // so even a delayed publish can never roll the serving model back.
-  return slot_.publish(ModelSnapshot::freeze(model_));
-}
-
-void PredictionService::maybe_schedule_train() {
-  if (observations_.size() < config_.train_batch) return;
-  if (train_pending_.exchange(true, std::memory_order_acq_rel)) return;
-  core::MutexLock lock(lifecycle_mutex_);
-  if (!accepting_.load(std::memory_order_acquire) || !trainer_pool_) {
-    train_pending_.store(false, std::memory_order_release);
-    return;
-  }
-  // Fire-and-forget: the future is intentionally dropped; failures
-  // cannot occur past this point (train_round swallows nothing but also
-  // throws nothing in normal operation), and sequencing is enforced by
-  // train_mutex_ plus the single-threaded pool.
-  trainer_pool_->submit([this] {
-    train_round();
-    train_pending_.store(false, std::memory_order_release);
-    // Re-check: observations may have crossed the threshold again while
-    // this round was running and submissions stopped arriving.
-    maybe_schedule_train();
-  });
-}
-
 ServiceStats PredictionService::stats() const {
   ServiceStats s;
   s.accepted = accepted_.load(std::memory_order_relaxed);
   s.shed = shed_.load(std::memory_order_relaxed);
   s.predicted = predicted_.load(std::memory_order_relaxed);
   s.batches = batches_.load(std::memory_order_relaxed);
-  s.observations = observed_.load(std::memory_order_relaxed);
-  s.observations_shed = observed_shed_.load(std::memory_order_relaxed);
-  s.train_rounds = train_rounds_.load(std::memory_order_relaxed);
+  s.observations = trainer_.observations();
+  s.observations_shed = trainer_.observations_shed();
+  s.train_rounds = trainer_.rounds();
   // One critical section for (version, swaps): a mid-run stats reader
   // must never see a freshly swapped version next to the old swap count.
   const SnapshotSlot::SlotInfo slot = slot_.info();

@@ -10,8 +10,8 @@
 // Two execution regimes share all of this code:
 //
 //   worker_threads > 0 — the real daemon. Workers and the background
-//     trainer (fire-and-forget ml::ThreadPool::submit tasks) run
-//     concurrently; time comes from SteadyClock.
+//     trainer (fire-and-forget rounds on a one-thread pool that starts
+//     with the first round) run concurrently; time comes from SteadyClock.
 //
 //   worker_threads == 0 — synchronous mode. No threads are spawned; the
 //     caller drives batching and training explicitly through poll(),
@@ -96,6 +96,92 @@ struct ServiceStats {
   std::vector<std::uint64_t> batch_size_counts;
 };
 
+/// The training half of the serve tier, shared by PredictionService and
+/// PredictionFleet: the observation queue, the training model, one round
+/// (drain, partial_fit, freeze) and fire-and-forget scheduling of rounds.
+/// The owner decides where each frozen snapshot goes through `publish`,
+/// which runs under the training lock so snapshots leave in version
+/// order: a service publishes into its own slot, a fleet fans out to
+/// every active replica.
+class OnlineTrainer {
+ public:
+  using Publish = std::function<bool(std::shared_ptr<const ModelSnapshot>)>;
+
+  /// Reads feature_dim, observe_capacity, train_batch, max_train_drain
+  /// and worker_threads (> 0 schedules rounds in the background).
+  OnlineTrainer(const ServiceConfig& config, ml::IncrementalForest model,
+                Publish publish);
+  ~OnlineTrainer() { stop(); }
+
+  OnlineTrainer(const OnlineTrainer&) = delete;
+  OnlineTrainer& operator=(const OnlineTrainer&) = delete;
+
+  /// The model frozen now, or nullptr while it is cold (version 0).
+  std::shared_ptr<const ModelSnapshot> trained_snapshot()
+      GSIGHT_EXCLUDES(train_mutex_);
+
+  /// Queue one labelled observation. False = shed (queue full or
+  /// stopped). With worker_threads > 0 a round is scheduled once
+  /// train_batch observations wait.
+  bool observe(std::vector<double> features, double label)
+      GSIGHT_EXCLUDES(pool_mutex_);
+
+  /// One round on the caller's thread: drain up to max_train_drain
+  /// observations, partial_fit, freeze, publish. Returns what publish
+  /// returned; false when nothing was queued.
+  bool train_round() GSIGHT_EXCLUDES(train_mutex_);
+  /// Synchronous mode: a round if train_batch observations are waiting.
+  void train_if_due() {
+    if (queue_.size() >= config_.train_batch) train_round();
+  }
+
+  /// Shed further observations, then let a scheduled round finish and
+  /// join the pool (it cannot schedule a successor). Idempotent.
+  void stop() GSIGHT_EXCLUDES(pool_mutex_);
+
+  std::uint64_t observations() const {
+    return observed_.load(std::memory_order_relaxed);
+  }
+  std::uint64_t observations_shed() const {
+    return observed_shed_.load(std::memory_order_relaxed);
+  }
+  std::uint64_t rounds() const {
+    return rounds_.load(std::memory_order_relaxed);
+  }
+
+ private:
+  struct Observation {
+    std::vector<double> features;
+    double label = 0.0;
+  };
+
+  /// Fire-and-forget a round if the threshold is crossed; the pool
+  /// starts here, with the first round, so a trainer that never sees an
+  /// observation (a fleet replica's) parks no thread.
+  void maybe_schedule() GSIGHT_EXCLUDES(pool_mutex_);
+
+  const ServiceConfig config_;
+  const Publish publish_;
+  // Internally synchronized (owns its own core::Mutex).
+  BoundedQueue<Observation> queue_;  // gsight-analyze: allow(unguarded-member)
+
+  core::Mutex train_mutex_;
+  ml::IncrementalForest model_ GSIGHT_GUARDED_BY(train_mutex_);
+
+  std::atomic<std::uint64_t> observed_{0};
+  std::atomic<std::uint64_t> observed_shed_{0};
+  std::atomic<std::uint64_t> rounds_{0};
+  std::atomic<bool> accepting_{true};
+  std::atomic<bool> pending_{false};
+
+  /// Fences pool creation and submission against stop(), which moves the
+  /// pool out under this lock and joins it outside (a running round
+  /// re-enters maybe_schedule, which takes the lock). Declared last: the
+  /// pool thread uses every member above.
+  core::Mutex pool_mutex_;
+  std::unique_ptr<ml::ThreadPool> pool_ GSIGHT_GUARDED_BY(pool_mutex_);
+};
+
 class PredictionService {
  public:
   using Callback = std::function<void(const PredictResult&)>;
@@ -110,7 +196,8 @@ class PredictionService {
   PredictionService(const PredictionService&) = delete;
   PredictionService& operator=(const PredictionService&) = delete;
 
-  /// Spawn workers and the trainer (no-op in synchronous mode).
+  /// Spawn the workers (no-op in synchronous mode); the trainer thread
+  /// starts with the first background round.
   void start();
   /// Close intake, drain queued work, join everything. Idempotent.
   void stop();
@@ -127,7 +214,9 @@ class PredictionService {
 
   /// Feed one labelled observation toward the background trainer.
   /// False = shed (observation queue full or service stopping).
-  bool observe(std::vector<double> features, double label);
+  bool observe(std::vector<double> features, double label) {
+    return trainer_.observe(std::move(features), label);
+  }
 
   /// Synchronous mode: serve at most one micro-batch from the queue and,
   /// if enough observations have accumulated, fold them and publish.
@@ -137,7 +226,7 @@ class PredictionService {
   /// Fold any queued observations into the model right now (caller
   /// thread) and publish if the model advanced. Returns true if a new
   /// snapshot was published.
-  bool train_now();
+  bool train_now() { return trainer_.train_round(); }
 
   /// Current model snapshot (nullptr before the first publish). The
   /// direct read path for in-process batch consumers (ServingPredictor):
@@ -149,8 +238,8 @@ class PredictionService {
 
   /// External snapshot publish — the fleet path: PredictionFleet trains
   /// one central model and pushes frozen snapshots into every replica's
-  /// slot. Same strict monotonicity as the internal trainer (stale or
-  /// duplicate versions are rejected and reported false).
+  /// slot. Same strict monotonicity as the service's own trainer (stale
+  /// or duplicate versions are rejected and reported false).
   bool publish(std::shared_ptr<const ModelSnapshot> next) {
     return slot_.publish(std::move(next));
   }
@@ -192,10 +281,6 @@ class PredictionService {
     std::uint64_t submit_ns = 0;
     Callback done;
   };
-  struct Observation {
-    std::vector<double> features;
-    double label = 0.0;
-  };
   /// Reused per-batch buffers: feature rows land in `xs`, predictions in
   /// `values`. A steady-state micro-batch allocates nothing — both keep
   /// their high-water capacity across batches.
@@ -211,10 +296,6 @@ class PredictionService {
   /// mode uses sync_scratch_.
   std::size_t process_batch(std::vector<Request>& batch,
                             BatchScratch& scratch);
-  /// One training round: drain observations, partial_fit, publish.
-  bool train_round() GSIGHT_EXCLUDES(train_mutex_);
-  /// Fire-and-forget a training round if the threshold is crossed.
-  void maybe_schedule_train() GSIGHT_EXCLUDES(lifecycle_mutex_);
 
   /// Fixed at construction (the ctor only reads it thereafter).
   const ServiceConfig config_;
@@ -225,27 +306,21 @@ class PredictionService {
 
   // Internally synchronized (each owns its own core::Mutex).
   BoundedQueue<Request> requests_;  // gsight-analyze: allow(unguarded-member)
-  BoundedQueue<Observation> observations_;  // gsight-analyze: allow(unguarded-member)
   SnapshotSlot slot_;  // gsight-analyze: allow(unguarded-member)
+  /// Publishes into slot_, so it is declared (and built) after it.
+  OnlineTrainer trainer_;  // gsight-analyze: allow(unguarded-member)
 
-  /// The training copy of the model.
-  core::Mutex train_mutex_;
-  ml::IncrementalForest model_ GSIGHT_GUARDED_BY(train_mutex_);
-
-  /// Lifecycle: guards accepting_ flips and trainer-pool submission so
-  /// stop() can fence out new training tasks before draining the pool.
+  /// Lifecycle: start() and stop() serialise here.
   core::Mutex lifecycle_mutex_;
   std::atomic<bool> accepting_{true};
-  std::atomic<bool> train_pending_{false};
   bool started_ GSIGHT_GUARDED_BY(lifecycle_mutex_) = false;
   bool stopped_ GSIGHT_GUARDED_BY(lifecycle_mutex_) = false;
 
   /// Mutated only by start() (under lifecycle_mutex_) and by the single
   /// stop() call that wins the stopped_ flip — the join loop runs outside
   /// the lock on purpose (joining under it would deadlock workers that
-  /// take the lock), so these two cannot carry GSIGHT_GUARDED_BY.
+  /// take the lock), so this cannot carry GSIGHT_GUARDED_BY.
   std::vector<std::thread> workers_;  // gsight-analyze: allow(unguarded-member)
-  std::unique_ptr<ml::ThreadPool> trainer_pool_;  // gsight-analyze: allow(unguarded-member)
 
   /// Batch scratch for synchronous mode only: poll() is documented as
   /// single-caller (no threads exist in sync mode), so this needs no
@@ -256,9 +331,6 @@ class PredictionService {
   std::atomic<std::uint64_t> shed_{0};
   std::atomic<std::uint64_t> predicted_{0};
   std::atomic<std::uint64_t> batches_{0};
-  std::atomic<std::uint64_t> observed_{0};
-  std::atomic<std::uint64_t> observed_shed_{0};
-  std::atomic<std::uint64_t> train_rounds_{0};
   std::vector<std::atomic<std::uint64_t>> batch_size_counts_;
 };
 

@@ -1,6 +1,5 @@
 #include "sim/cluster_spec.hpp"
 
-#include <cmath>
 #include <stdexcept>
 #include <string>
 
@@ -16,27 +15,6 @@ void require_positive(double value, const char* what) {
 }
 
 }  // namespace
-
-void ShardTopology::validate() const {
-  if (clusters == 0) {
-    throw std::invalid_argument("ShardTopology: clusters must be non-zero");
-  }
-  if (!(std::isfinite(hop_latency_s) && hop_latency_s > 0.0)) {
-    throw std::invalid_argument(
-        "ShardTopology: hop_latency_s must be finite and positive");
-  }
-  if (!(std::isfinite(epoch_s) && epoch_s >= 0.0)) {
-    throw std::invalid_argument(
-        "ShardTopology: epoch_s must be finite and non-negative");
-  }
-  // Conservative synchronization: within an epoch cells advance without
-  // hearing from each other, which is only sound while no cross-cell
-  // message can land before the next barrier — i.e. epoch <= hop.
-  if (epoch_s > hop_latency_s) {
-    throw std::invalid_argument(
-        "ShardTopology: epoch_s must not exceed hop_latency_s");
-  }
-}
 
 void ClusterSpec::validate() const {
   if (servers == 0) {
@@ -56,7 +34,6 @@ void ClusterSpec::validate() const {
     throw std::invalid_argument(
         "ClusterSpec: interference.max_utilization must lie in (0, 1)");
   }
-  topology.validate();
 }
 
 }  // namespace gsight::sim

@@ -18,40 +18,6 @@ class TraceSink;
 
 namespace gsight::sim {
 
-/// Multi-cluster shape for sharded runs (DESIGN.md §13). The simulated
-/// estate is a fixed set of `clusters` identical cluster cells; `shards`
-/// picks how many executor lanes advance those cells. Results depend only
-/// on the cells and the root seed — never on the lane count or thread
-/// count — which is what makes an N-shard run byte-identical to the
-/// 1-shard run.
-struct ShardTopology {
-  /// Number of cluster cells. Each cell owns a private engine, event
-  /// queue, gateway, recorder and RNG; `ClusterSpec::servers` is the size
-  /// of EACH cell.
-  std::size_t clusters = 1;
-  /// Executor lanes (`--shards N`). 0 means one lane per cell; values
-  /// above `clusters` are clamped. Cells map to lanes as `cell % lanes`.
-  std::size_t shards = 0;
-  /// Minimum cross-cell latency: the gateway -> cluster hop. No message
-  /// posted in an epoch can take effect sooner than this, which is what
-  /// lets cells advance an epoch without hearing from each other.
-  double hop_latency_s = 0.01;
-  /// Epoch barrier spacing. 0 derives it from hop_latency_s (the largest
-  /// safe value); an explicit value must not exceed hop_latency_s or the
-  /// conservative-synchronization argument breaks.
-  double epoch_s = 0.0;
-
-  std::size_t lanes() const {
-    if (shards == 0 || shards > clusters) return clusters;
-    return shards;
-  }
-  double epoch_length() const { return epoch_s > 0.0 ? epoch_s : hop_latency_s; }
-
-  /// Throws std::invalid_argument on zero cells, a non-positive/non-finite
-  /// hop, or an epoch longer than the hop.
-  void validate() const;
-};
-
 struct ClusterSpec {
   std::size_t servers = 8;
   ServerConfig server = ServerConfig::tianjin_testbed();
@@ -67,12 +33,9 @@ struct ClusterSpec {
   /// Campaign workers clear this so parallel tasks never race on the
   /// process-wide default sink; an explicit `trace_sink` still applies.
   bool use_default_trace_sink = true;
-  /// Multi-cluster shape for sharded runs; the single-cell default leaves
-  /// existing (unsharded) configurations untouched.
-  ShardTopology topology;
 
-  /// Throws std::invalid_argument on an unrunnable cluster: zero servers,
-  /// non-positive node capacities/durations, or a bad shard topology.
+  /// Throws std::invalid_argument on an unrunnable cluster: zero servers
+  /// or non-positive node capacities/durations.
   void validate() const;
 };
 

@@ -1,6 +1,8 @@
 #include "sim/sharded_engine.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <stdexcept>
 #include <string>
 #include <utility>
 
@@ -17,6 +19,36 @@ namespace {
 constexpr std::uint64_t kShardPlatformTag = 0x534841504C415453ULL;  // "SHAPLATS"
 
 }  // namespace
+
+void ShardTopology::validate() const {
+  if (clusters == 0) {
+    throw std::invalid_argument("ShardTopology: clusters must be non-zero");
+  }
+  if (!(std::isfinite(hop_latency_s) && hop_latency_s > 0.0)) {
+    throw std::invalid_argument(
+        "ShardTopology: hop_latency_s must be finite and positive");
+  }
+  if (!(std::isfinite(epoch_s) && epoch_s >= 0.0)) {
+    throw std::invalid_argument(
+        "ShardTopology: epoch_s must be finite and non-negative");
+  }
+  // Conservative synchronization: within an epoch cells advance without
+  // hearing from each other, which is only sound while no cross-cell
+  // message can land before the next barrier — i.e. epoch <= hop.
+  if (epoch_s > hop_latency_s) {
+    throw std::invalid_argument(
+        "ShardTopology: epoch_s must not exceed hop_latency_s");
+  }
+}
+
+void ShardedEngineConfig::validate() const {
+  ClusterSpec::validate();
+  topology.validate();
+  if (!(remote_fraction >= 0.0 && remote_fraction <= 1.0)) {
+    throw std::invalid_argument(
+        "ShardedEngineConfig: remote_fraction must lie in [0, 1]");
+  }
+}
 
 ShardedEngine::ShardedEngine(ShardedEngineConfig config)
     : config_(std::move(config)),
@@ -43,7 +75,6 @@ ShardedEngine::ShardedEngine(ShardedEngineConfig config)
                                                  kShardPlatformTag, i);
     sc.platform.trace_sink = nullptr;
     sc.platform.use_default_trace_sink = false;
-    sc.platform.topology = ShardTopology{};  // cells are not themselves sharded
     shards_.push_back(std::make_unique<Shard>(sc, &mailbox_.outbox(i)));
   }
   if (config_.threads != 1) {

@@ -29,9 +29,45 @@ class ThreadPool;
 
 namespace gsight::sim {
 
-/// Cluster shape (per cell), topology, and root seed come from the
-/// embedded ClusterSpec; the fields below are the sharded-run knobs.
+/// Multi-cluster shape for sharded runs (DESIGN.md §13). The simulated
+/// estate is a fixed set of `clusters` identical cluster cells; `shards`
+/// picks how many executor lanes advance those cells. Results depend only
+/// on the cells and the root seed — never on the lane count or thread
+/// count — which is what makes an N-shard run byte-identical to the
+/// 1-shard run.
+struct ShardTopology {
+  /// Number of cluster cells. Each cell owns a private engine, event
+  /// queue, gateway, recorder and RNG; `ShardedEngineConfig::servers` is
+  /// the size of EACH cell.
+  std::size_t clusters = 1;
+  /// Executor lanes (`--shards N`). 0 means one lane per cell; values
+  /// above `clusters` are clamped. Cells map to lanes as `cell % lanes`.
+  std::size_t shards = 0;
+  /// Minimum cross-cell latency: the gateway -> cluster hop. No message
+  /// posted in an epoch can take effect sooner than this, which is what
+  /// lets cells advance an epoch without hearing from each other.
+  double hop_latency_s = 0.01;
+  /// Epoch barrier spacing. 0 derives it from hop_latency_s (the largest
+  /// safe value); an explicit value must not exceed hop_latency_s or the
+  /// conservative-synchronization argument breaks.
+  double epoch_s = 0.0;
+
+  std::size_t lanes() const {
+    if (shards == 0 || shards > clusters) return clusters;
+    return shards;
+  }
+  double epoch_length() const { return epoch_s > 0.0 ? epoch_s : hop_latency_s; }
+
+  /// Throws std::invalid_argument on zero cells, a non-positive/non-finite
+  /// hop, or an epoch longer than the hop.
+  void validate() const;
+};
+
+/// Cluster shape (per cell) and root seed come from the embedded
+/// ClusterSpec; the fields below are the sharded-run knobs, which only
+/// the sharded engine reads and validate() checks.
 struct ShardedEngineConfig : ClusterSpec {
+  ShardTopology topology;
   GatewayConfig gateway;
   InstanceConfig instance;
   double metric_window_s = 1.0;
@@ -46,6 +82,11 @@ struct ShardedEngineConfig : ClusterSpec {
   bool clone_handoffs = false;
   /// Diurnal load shape driven on every cell (base_qps is per cell).
   wl::AzureTraceConfig trace;
+
+  /// Throws std::invalid_argument naming the first bad field: the
+  /// ClusterSpec checks, a bad topology, or a remote_fraction outside
+  /// [0, 1] (NaN included). The ShardedEngine ctor calls this.
+  void validate() const;
 };
 
 class ShardedEngine {

@@ -6,6 +6,10 @@
 // suite executes it verbatim rather than a toy stand-in.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <functional>
+#include <limits>
+#include <stdexcept>
 #include <string>
 
 #include "obs/run_report.hpp"
@@ -82,6 +86,74 @@ TEST(CloningFrontier, ReportRowsCoverEveryCell) {
   ASSERT_EQ(result.cells.size(), 2u);
   EXPECT_EQ(result.cells[0].prefix, "clone1.bg0.ps.");
   EXPECT_EQ(result.cells[1].prefix, "clone2.bg0.ps.");
+}
+
+// --- Config validation -------------------------------------------------------
+
+/// run_cloning_frontier must reject `mutate`d defaults with an
+/// invalid_argument naming `field`, before running any cell.
+void expect_rejected(const std::function<void(CloningFrontierConfig&)>& mutate,
+                     const std::string& field) {
+  CloningFrontierConfig cfg;
+  mutate(cfg);
+  try {
+    run_cloning_frontier(cfg);
+    ADD_FAILURE() << field << ": bad config was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+        << e.what();
+  }
+}
+
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+TEST(CloningFrontierValidate, DefaultsAreValid) {
+  EXPECT_NO_THROW(CloningFrontierConfig{}.validate());
+}
+
+TEST(CloningFrontierValidate, NeedsAtLeastOneReplication) {
+  expect_rejected([](auto& c) { c.replications = 0; }, "replications");
+}
+
+TEST(CloningFrontierValidate, NeedsAtLeastOneServer) {
+  expect_rejected([](auto& c) { c.servers = 0; }, "servers");
+}
+
+TEST(CloningFrontierValidate, QpsMustBeFiniteAndPositive) {
+  expect_rejected([](auto& c) { c.qps = -3.0; }, "qps");
+  expect_rejected([](auto& c) { c.qps = 0.0; }, "qps");
+  expect_rejected([](auto& c) { c.qps = kNaN; }, "qps");
+  expect_rejected([](auto& c) { c.qps = kInf; }, "qps");
+}
+
+TEST(CloningFrontierValidate, DurationMustBeFiniteAndPositive) {
+  expect_rejected([](auto& c) { c.duration_s = -1.0; }, "duration_s");
+  expect_rejected([](auto& c) { c.duration_s = 0.0; }, "duration_s");
+  expect_rejected([](auto& c) { c.duration_s = kInf; }, "duration_s");
+}
+
+TEST(CloningFrontierValidate, DrainMustBeFiniteAndNonNegative) {
+  expect_rejected([](auto& c) { c.drain_s = -0.5; }, "drain_s");
+  expect_rejected([](auto& c) { c.drain_s = kNaN; }, "drain_s");
+}
+
+TEST(CloningFrontierValidate, JitterMustBeFiniteAndNonNegative) {
+  expect_rejected([](auto& c) { c.jitter_sigma = -0.1; }, "jitter_sigma");
+  expect_rejected([](auto& c) { c.jitter_sigma = kInf; }, "jitter_sigma");
+}
+
+TEST(CloningFrontierValidate, NeedsAtLeastOneCloneFactor) {
+  expect_rejected([](auto& c) { c.clone_factors.clear(); }, "clone_factors");
+}
+
+TEST(CloningFrontierValidate, NeedsAtLeastOneInterferenceLevel) {
+  expect_rejected([](auto& c) { c.interference_levels.clear(); },
+                  "interference_levels");
+}
+
+TEST(CloningFrontierValidate, NeedsAtLeastOneDiscipline) {
+  expect_rejected([](auto& c) { c.disciplines.clear(); }, "disciplines");
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <fstream>
 #include <map>
 #include <memory>
 #include <sstream>
@@ -493,6 +494,47 @@ TEST(ServeFleetThreaded, StopShedsLateSubmissionsInsteadOfHanging) {
   const FleetStats s = fleet.stats();
   EXPECT_EQ(s.shed, 1u);
   EXPECT_EQ(s.observations_shed, 1u);
+}
+
+/// Threads in this process (Linux /proc), or -1 where that is unknown.
+/// A joined thread can still count for a moment while the kernel reaps
+/// it, so the count is read until two reads 2 ms apart agree.
+int process_threads() {
+  auto read = [] {
+    std::ifstream status("/proc/self/status");
+    std::string line;
+    while (std::getline(status, line)) {
+      if (line.rfind("Threads:", 0) == 0) return std::stoi(line.substr(8));
+    }
+    return -1;
+  };
+  int last = read();
+  for (int tries = 0; tries < 100; ++tries) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    const int now = read();
+    if (now == last) break;
+    last = now;
+  }
+  return last;
+}
+
+TEST(ServeFleetThreaded, RunsOneTrainerThreadNotOnePerReplica) {
+  // Built first: warm-up training may start the shared forest pool.
+  ml::IncrementalForest model = warm_model(29, 64);
+  const int base = process_threads();
+  if (base < 0) GTEST_SKIP() << "no /proc/self/status thread count";
+  FleetRequest fr = threaded_fleet_request(4);
+  PredictionFleet fleet(fr, std::move(model));
+  fleet.start();
+  // One worker per replica; no replica starts a trainer, and the fleet's
+  // own trainer waits for its first round.
+  EXPECT_EQ(process_threads() - base, 4);
+  for (std::uint64_t k = 0; k < fr.service.train_batch; ++k) {
+    fleet.observe(features_of(k), 0.5);
+  }
+  EXPECT_EQ(process_threads() - base, 5);
+  fleet.stop();
+  EXPECT_EQ(process_threads(), base);
 }
 
 }  // namespace

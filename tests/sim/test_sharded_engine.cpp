@@ -4,6 +4,7 @@
 // barrier must execute in a pinned epoch.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
@@ -65,6 +66,36 @@ TEST(ShardTopologyValidate, LaneClamping) {
   EXPECT_EQ(t.lanes(), 2u);
   t.shards = 16;  // more lanes than cells is clamped
   EXPECT_EQ(t.lanes(), 4u);
+}
+
+TEST(ShardedEngineValidate, RejectsRemoteFractionOutsideUnitInterval) {
+  // Rejected before any cell is built: a Shard's contract check would
+  // abort the process on each of these.
+  for (const double bad : {-0.5, 1.5, std::nan("")}) {
+    ShardedEngineConfig cfg = small_config(2, 0, 1);
+    cfg.remote_fraction = bad;
+    try {
+      ShardedEngine eng(cfg);
+      ADD_FAILURE() << "remote_fraction " << bad << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("remote_fraction"),
+                std::string::npos);
+    }
+  }
+  for (const double edge : {0.0, 1.0}) {
+    ShardedEngineConfig cfg = small_config(2, 0, 1);
+    cfg.remote_fraction = edge;
+    EXPECT_NO_THROW(ShardedEngine eng(cfg)) << edge;
+  }
+}
+
+TEST(ShardedEngineValidate, ChecksTheTopologyAndTheClusterShape) {
+  ShardedEngineConfig cfg = small_config(2, 0, 1);
+  cfg.topology.clusters = 0;
+  EXPECT_THROW(ShardedEngine eng(cfg), std::invalid_argument);
+  cfg = small_config(2, 0, 1);
+  cfg.servers = 0;
+  EXPECT_THROW(ShardedEngine eng(cfg), std::invalid_argument);
 }
 
 // --- Mailbox replay order ----------------------------------------------------

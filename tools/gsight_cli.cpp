@@ -37,6 +37,7 @@
 #include <cstring>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -305,7 +306,9 @@ bool dump_samples(const std::vector<core::ScenarioSamples>& samples,
 struct ShardedCloneOptions {
   std::size_t clone_factor = 1;
   bool clone_handoffs = false;
-  double remote_fraction = -1.0;  ///< < 0 keeps the config default
+  /// Unset keeps the config default; any given value reaches
+  /// ShardedEngineConfig::validate(), which rejects values outside [0, 1].
+  std::optional<double> remote_fraction;
   bool processor_sharing = false;
 };
 
@@ -327,9 +330,7 @@ int cmd_campaign_sharded(std::size_t lanes, std::size_t threads,
   cfg.trace.base_qps = 40.0;
   cfg.gateway.clone.factor = clone.clone_factor;
   cfg.clone_handoffs = clone.clone_handoffs;
-  if (clone.remote_fraction >= 0.0) {
-    cfg.remote_fraction = clone.remote_fraction;
-  }
+  if (clone.remote_fraction) cfg.remote_fraction = *clone.remote_fraction;
   sim::ShardedEngine engine(cfg);
   engine.deploy_default_load();
   std::printf("sharded campaign: %zu cells x %zu servers, %zu lanes, "
@@ -448,7 +449,7 @@ int cmd_campaign(int argc, char** argv) {
                                 horizon, dump_path, clone);
   }
   if (clone.clone_factor > 1 || clone.clone_handoffs ||
-      clone.remote_fraction >= 0.0 || clone.processor_sharing) {
+      clone.remote_fraction || clone.processor_sharing) {
     std::fprintf(stderr,
                  "error: --clone-factor/--clone-handoffs/--remote/--ps "
                  "require --shards\n");
@@ -619,143 +620,15 @@ bool parse_drain_spec(const char* spec, serve::DrainStep* step) {
   return *end == '\0';
 }
 
-/// Fleet variant of serve-bench: N replicas behind a Router, central
-/// training with fan-out publishing, an optional mid-run drain schedule
-/// and an optional gsight-live/v1 NDJSON stream. Emits
-/// BENCH_serve_fleet.json; the conservation fields (lost must be 0) and
-/// the live stream are what check.sh's fleet twin-run stage compares.
-int cmd_serve_fleet(serve::FleetRequest fr, serve::DriverRequest lc,
-                    std::size_t warm_rows, const std::string& out_dir,
-                    const std::string& live_path) {
-  const auto t0 = std::chrono::steady_clock::now();
-
-  ml::IncrementalForest model(core::deployed_irfr_config(), lc.seed);
-  if (warm_rows > 0) {
-    stats::Rng rng(lc.seed ^ 0x5EEDF00DULL);
-    ml::Dataset warm(fr.service.feature_dim);
-    std::vector<double> row(fr.service.feature_dim);
-    for (std::size_t i = 0; i < warm_rows; ++i) {
-      for (auto& v : row) v = rng.uniform();
-      warm.add(row, serve::LoadDriver::label_of(row));
-    }
-    model.partial_fit(warm);
-  }
-
-  serve::PredictionFleet fleet(fr, std::move(model));
-
-  std::ofstream live_os;
-  std::unique_ptr<obs::LiveStreamSink> sink;
-  if (!live_path.empty()) {
-    live_os.open(live_path);
-    if (!live_os) {
-      std::fprintf(stderr, "error: cannot write %s\n", live_path.c_str());
-      return 1;
-    }
-    sink = std::make_unique<obs::LiveStreamSink>(live_os);
-    sink->hello("serve-bench",
-                {{"replicas", std::to_string(fr.replicas)},
-                 {"router", serve::router_policy_name(fr.router)},
-                 {"worker_threads", std::to_string(fr.service.worker_threads)},
-                 {"requests", std::to_string(lc.requests)},
-                 {"seed", std::to_string(lc.seed)}});
-    fleet.set_live_sink(sink.get());
-    if (lc.live_every == 0) lc.live_every = 256;
-  }
-
-  serve::LoadDriver driver(lc);
-  serve::LoadOutcome outcome;
-  fleet.start();
-  if (fr.service.worker_threads == 0) {
-    outcome = driver.run_deterministic(fleet);
-  } else {
-    outcome = driver.run_threaded(fleet);
-  }
-  fleet.stop();
-  const serve::FleetStats fs = fleet.stats();
-
-  obs::RunReport report("serve_fleet");
-  report.add_result("requests", static_cast<double>(outcome.submitted));
-  report.add_result("completed", static_cast<double>(outcome.completed));
-  report.add_result("shed", static_cast<double>(outcome.shed));
-  // Conservation across routing, shedding and any mid-run re-shard:
-  // every submission either completed or was shed, exactly once. The
-  // fleet twin-run gate asserts this is 0.
-  report.add_result("lost",
-                    static_cast<double>(outcome.submitted - outcome.completed -
-                                        outcome.shed));
-  report.add_result("throughput", outcome.throughput_rps, "req/s");
-  report.add_result("latency_p50", outcome.latency_p50_us, "us");
-  report.add_result("latency_p95", outcome.latency_p95_us, "us");
-  report.add_result("latency_p99", outcome.latency_p99_us, "us");
-  report.add_result("latency_mean", outcome.latency_mean_us, "us");
-  report.add_result("latency_max", outcome.latency_max_us, "us");
-  report.add_result("train_rounds", static_cast<double>(fs.train_rounds));
-  report.add_result("publishes", static_cast<double>(fs.publishes));
-  report.add_result("latest_version", static_cast<double>(fs.latest_version));
-  report.add_result("watermark", static_cast<double>(fs.watermark));
-  report.add_result("stale_replicas", static_cast<double>(fs.stale_replicas));
-  report.add_result("active_replicas",
-                    static_cast<double>(fs.active_replicas));
-  report.add_result("drains", static_cast<double>(fs.drains));
-  report.add_result("readds", static_cast<double>(fs.readds));
-  obs::Json routed = obs::Json::array();
-  for (std::uint64_t c : fs.routed) routed.push_back(static_cast<double>(c));
-  report.add_series("replica_routed", std::move(routed));
-  obs::Json versions = obs::Json::array();
-  for (std::uint64_t v : fs.replica_versions) {
-    versions.push_back(static_cast<double>(v));
-  }
-  report.add_series("replica_versions", std::move(versions));
-  obs::MetricsRegistry registry;
-  fleet.export_metrics(registry);
-  report.attach_metrics(registry);
-  report.set_meta("mode", lc.mode == serve::DriverRequest::Mode::kOpenLoop
-                              ? "open"
-                              : "closed");
-  report.set_meta("replicas", std::to_string(fr.replicas));
-  report.set_meta("router", serve::router_policy_name(fr.router));
-  report.set_meta("worker_threads",
-                  std::to_string(fr.service.worker_threads));
-  report.set_meta("feature_dim", std::to_string(fr.service.feature_dim));
-  report.set_meta("seed", std::to_string(lc.seed));
-  report.set_wall_time_s(
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count());
-
-  const std::string path = report.write(out_dir);
-  if (path.empty()) {
-    std::fprintf(stderr, "error: cannot write report to %s\n",
-                 out_dir.c_str());
-    return 1;
-  }
-  std::printf(
-      "serve-fleet: %zu replicas (%s), %zu requests (%zu completed, %zu "
-      "shed, %zu lost), %.0f req/s, p50/p95/p99 %.1f/%.1f/%.1f us, "
-      "watermark v%llu (latest v%llu, %zu stale), %llu drains / %llu "
-      "re-adds\nreport -> %s\n",
-      fr.replicas, serve::router_policy_name(fr.router), outcome.submitted,
-      outcome.completed, outcome.shed,
-      outcome.submitted - outcome.completed - outcome.shed,
-      outcome.throughput_rps, outcome.latency_p50_us, outcome.latency_p95_us,
-      outcome.latency_p99_us,
-      static_cast<unsigned long long>(fs.watermark),
-      static_cast<unsigned long long>(fs.latest_version), fs.stale_replicas,
-      static_cast<unsigned long long>(fs.drains),
-      static_cast<unsigned long long>(fs.readds), path.c_str());
-  if (sink) {
-    std::printf("live stream -> %s (%llu records)\n", live_path.c_str(),
-                static_cast<unsigned long long>(sink->records()));
-  }
-  return 0;
-}
-
 // Online serving bench: drive serve::PredictionService with synthetic
-// Poisson load and emit BENCH_serve.json. With --threads 0 the whole run
-// is synchronous on a virtual clock: two invocations with the same
-// arguments produce byte-identical reports modulo "wall_time_s" (the
-// determinism gate in scripts/check.sh). Table-4 scale is the default
-// geometry: 2580-dim overlap codes through the 80-tree deployed IRFR.
-// --fleet N hands off to cmd_serve_fleet (same flags + the fleet ones).
+// Poisson load and emit BENCH_serve.json, or with --fleet N a routed
+// PredictionFleet (central training with fan-out publishing, an optional
+// mid-run drain schedule and an optional gsight-live/v1 NDJSON stream)
+// and emit BENCH_serve_fleet.json. With --threads 0 the whole run is
+// synchronous on a virtual clock: two invocations with the same arguments
+// produce byte-identical reports modulo "wall_time_s" (the determinism
+// gates in scripts/check.sh). Table-4 scale is the default geometry:
+// 2580-dim overlap codes through the 80-tree deployed IRFR.
 int cmd_serve_bench(int argc, char** argv) {
   serve::ServiceConfig sc;
   sc.feature_dim = 2580;
@@ -763,10 +636,8 @@ int cmd_serve_bench(int argc, char** argv) {
   serve::DriverRequest lc;
   std::size_t warm_rows = 256;
   std::string out_dir = ".";
-  std::size_t fleet = 0;
-  serve::RouterPolicy router = serve::RouterPolicy::kConsistentHash;
-  std::size_t vnodes = 64;
-  std::vector<serve::DrainStep> drains;
+  serve::FleetRequest fr;
+  fr.replicas = 0;  // no --fleet: a single service
   std::string live_path;
   for (int i = 0; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -819,15 +690,15 @@ int cmd_serve_bench(int argc, char** argv) {
       out_dir = value;
       ++i;
     } else if (arg == "--fleet" && value != nullptr) {
-      fleet = std::strtoul(value, nullptr, 10);
+      fr.replicas = std::strtoul(value, nullptr, 10);
       ++i;
     } else if (arg == "--router" && value != nullptr) {
       const auto parsed = serve::parse_router_policy(value);
       if (!parsed) return usage();
-      router = *parsed;
+      fr.router = *parsed;
       ++i;
     } else if (arg == "--vnodes" && value != nullptr) {
-      vnodes = std::strtoul(value, nullptr, 10);
+      fr.vnodes_per_replica = std::strtoul(value, nullptr, 10);
       ++i;
     } else if (arg == "--drain" && value != nullptr) {
       serve::DrainStep step;
@@ -836,7 +707,7 @@ int cmd_serve_bench(int argc, char** argv) {
                      value);
         return usage();
       }
-      drains.push_back(step);
+      fr.drains.push_back(step);
       ++i;
     } else if (arg == "--live" && value != nullptr) {
       live_path = value;
@@ -848,22 +719,14 @@ int cmd_serve_bench(int argc, char** argv) {
       return usage();
     }
   }
-
-  if (fleet > 0) {
-    serve::FleetRequest fr;
-    fr.replicas = fleet;
-    fr.router = router;
-    fr.vnodes_per_replica = vnodes;
-    fr.service = sc;
-    fr.drains = std::move(drains);
-    return cmd_serve_fleet(std::move(fr), lc, warm_rows, out_dir, live_path);
-  }
-  if (!drains.empty() || !live_path.empty()) {
+  const bool is_fleet = fr.replicas > 0;
+  if (!is_fleet && (!fr.drains.empty() || !live_path.empty())) {
     std::fprintf(stderr,
                  "error: --drain/--live need --fleet N (single-service "
                  "serve-bench has no router or live stream)\n");
     return usage();
   }
+  fr.service = sc;
 
   const auto t0 = std::chrono::steady_clock::now();
 
@@ -883,62 +746,126 @@ int cmd_serve_bench(int argc, char** argv) {
     model.partial_fit(warm);
   }
 
-  serve::PredictionService service(sc, std::move(model));
-  const std::uint64_t swaps_before = service.stats().snapshot_swaps;
-  const std::uint64_t version_before = service.stats().model_version;
+  std::optional<serve::PredictionService> service;
+  std::optional<serve::PredictionFleet> fleet;
+  std::ofstream live_os;
+  std::unique_ptr<obs::LiveStreamSink> sink;
+  if (is_fleet) {
+    fleet.emplace(fr, std::move(model));
+    if (!live_path.empty()) {
+      live_os.open(live_path);
+      if (!live_os) {
+        std::fprintf(stderr, "error: cannot write %s\n", live_path.c_str());
+        return 1;
+      }
+      sink = std::make_unique<obs::LiveStreamSink>(live_os);
+      sink->hello("serve-bench",
+                  {{"replicas", std::to_string(fr.replicas)},
+                   {"router", serve::router_policy_name(fr.router)},
+                   {"worker_threads", std::to_string(sc.worker_threads)},
+                   {"requests", std::to_string(lc.requests)},
+                   {"seed", std::to_string(lc.seed)}});
+      fleet->set_live_sink(sink.get());
+      if (lc.live_every == 0) lc.live_every = 256;
+    }
+  } else {
+    service.emplace(sc, std::move(model));
+  }
+  const serve::ServiceStats before = is_fleet ? serve::ServiceStats{}
+                                              : service->stats();
 
   serve::LoadDriver driver(lc);
-  serve::LoadOutcome outcome;
-  if (sc.worker_threads == 0) {
-    service.start();
-    outcome = driver.run_deterministic(service);
-  } else {
-    outcome = driver.run_threaded(service);
-  }
-  service.stop();
-  const serve::ServiceStats svc = service.stats();
+  auto drive = [&](auto& target) {
+    target.start();
+    const serve::LoadOutcome outcome = sc.worker_threads == 0
+                                           ? driver.run_deterministic(target)
+                                           : driver.run_threaded(target);
+    target.stop();
+    return outcome;
+  };
+  const serve::LoadOutcome outcome = is_fleet ? drive(*fleet) : drive(*service);
 
-  obs::RunReport report("serve");
+  obs::RunReport report(is_fleet ? "serve_fleet" : "serve");
   report.add_result("requests", static_cast<double>(outcome.submitted));
   report.add_result("completed", static_cast<double>(outcome.completed));
   report.add_result("shed", static_cast<double>(outcome.shed));
-  report.add_result("shed_rate",
-                    outcome.submitted > 0
-                        ? static_cast<double>(outcome.shed) /
-                              static_cast<double>(outcome.submitted)
-                        : 0.0);
+  // Conservation across routing, shedding and any mid-run re-shard:
+  // every submission either completed or was shed, exactly once. The
+  // fleet twin-run gate asserts this is 0.
+  const std::size_t lost = outcome.submitted - outcome.completed - outcome.shed;
+  if (is_fleet) {
+    report.add_result("lost", static_cast<double>(lost));
+  } else {
+    report.add_result("shed_rate",
+                      outcome.submitted > 0
+                          ? static_cast<double>(outcome.shed) /
+                                static_cast<double>(outcome.submitted)
+                          : 0.0);
+  }
   report.add_result("throughput", outcome.throughput_rps, "req/s");
   report.add_result("latency_p50", outcome.latency_p50_us, "us");
   report.add_result("latency_p95", outcome.latency_p95_us, "us");
   report.add_result("latency_p99", outcome.latency_p99_us, "us");
   report.add_result("latency_mean", outcome.latency_mean_us, "us");
   report.add_result("latency_max", outcome.latency_max_us, "us");
-  report.add_result("batches", static_cast<double>(svc.batches));
-  report.add_result("mean_batch_size",
-                    svc.batches > 0
-                        ? static_cast<double>(svc.predicted) /
-                              static_cast<double>(svc.batches)
-                        : 0.0);
-  report.add_result("train_rounds", static_cast<double>(svc.train_rounds));
-  report.add_result("snapshot_swaps",
-                    static_cast<double>(svc.snapshot_swaps));
-  report.add_result("hot_swaps_under_load",
-                    static_cast<double>(svc.snapshot_swaps - swaps_before));
-  report.add_result("model_version", static_cast<double>(svc.model_version));
-  obs::Json hist = obs::Json::array();
-  for (std::uint64_t c : svc.batch_size_counts) {
-    hist.push_back(static_cast<double>(c));
-  }
-  report.add_series("batch_size_counts", std::move(hist));
   obs::MetricsRegistry registry;
-  service.export_metrics(registry);
+  serve::FleetStats fs;
+  serve::ServiceStats svc;
+  if (is_fleet) {
+    fs = fleet->stats();
+    report.add_result("train_rounds", static_cast<double>(fs.train_rounds));
+    report.add_result("publishes", static_cast<double>(fs.publishes));
+    report.add_result("latest_version",
+                      static_cast<double>(fs.latest_version));
+    report.add_result("watermark", static_cast<double>(fs.watermark));
+    report.add_result("stale_replicas",
+                      static_cast<double>(fs.stale_replicas));
+    report.add_result("active_replicas",
+                      static_cast<double>(fs.active_replicas));
+    report.add_result("drains", static_cast<double>(fs.drains));
+    report.add_result("readds", static_cast<double>(fs.readds));
+    obs::Json routed = obs::Json::array();
+    for (std::uint64_t c : fs.routed) routed.push_back(static_cast<double>(c));
+    report.add_series("replica_routed", std::move(routed));
+    obs::Json versions = obs::Json::array();
+    for (std::uint64_t v : fs.replica_versions) {
+      versions.push_back(static_cast<double>(v));
+    }
+    report.add_series("replica_versions", std::move(versions));
+    fleet->export_metrics(registry);
+  } else {
+    svc = service->stats();
+    report.add_result("batches", static_cast<double>(svc.batches));
+    report.add_result("mean_batch_size",
+                      svc.batches > 0
+                          ? static_cast<double>(svc.predicted) /
+                                static_cast<double>(svc.batches)
+                          : 0.0);
+    report.add_result("train_rounds", static_cast<double>(svc.train_rounds));
+    report.add_result("snapshot_swaps",
+                      static_cast<double>(svc.snapshot_swaps));
+    report.add_result("hot_swaps_under_load",
+                      static_cast<double>(svc.snapshot_swaps -
+                                          before.snapshot_swaps));
+    report.add_result("model_version", static_cast<double>(svc.model_version));
+    obs::Json hist = obs::Json::array();
+    for (std::uint64_t c : svc.batch_size_counts) {
+      hist.push_back(static_cast<double>(c));
+    }
+    report.add_series("batch_size_counts", std::move(hist));
+    service->export_metrics(registry);
+  }
   report.attach_metrics(registry);
   report.set_meta("mode", lc.mode == serve::DriverRequest::Mode::kOpenLoop
                               ? "open"
                               : "closed");
+  if (is_fleet) {
+    report.set_meta("replicas", std::to_string(fr.replicas));
+    report.set_meta("router", serve::router_policy_name(fr.router));
+  }
   report.set_meta("worker_threads", std::to_string(sc.worker_threads));
   report.set_meta("feature_dim", std::to_string(sc.feature_dim));
-  report.set_meta("max_batch", std::to_string(sc.max_batch));
+  if (!is_fleet) report.set_meta("max_batch", std::to_string(sc.max_batch));
   report.set_meta("seed", std::to_string(lc.seed));
   report.set_wall_time_s(
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
@@ -950,17 +877,36 @@ int cmd_serve_bench(int argc, char** argv) {
                  out_dir.c_str());
     return 1;
   }
-  std::printf(
-      "serve-bench: %zu requests (%zu completed, %zu shed), %.0f req/s, "
-      "p50/p95/p99 %.1f/%.1f/%.1f us, %llu batches, %llu hot swaps "
-      "(model v%llu -> v%llu)\nreport -> %s\n",
-      outcome.submitted, outcome.completed, outcome.shed,
-      outcome.throughput_rps, outcome.latency_p50_us, outcome.latency_p95_us,
-      outcome.latency_p99_us,
-      static_cast<unsigned long long>(svc.batches),
-      static_cast<unsigned long long>(svc.snapshot_swaps - swaps_before),
-      static_cast<unsigned long long>(version_before),
-      static_cast<unsigned long long>(svc.model_version), path.c_str());
+  if (is_fleet) {
+    std::printf(
+        "serve-fleet: %zu replicas (%s), %zu requests (%zu completed, %zu "
+        "shed, %zu lost), %.0f req/s, p50/p95/p99 %.1f/%.1f/%.1f us, "
+        "watermark v%llu (latest v%llu, %zu stale), %llu drains / %llu "
+        "re-adds\nreport -> %s\n",
+        fr.replicas, serve::router_policy_name(fr.router), outcome.submitted,
+        outcome.completed, outcome.shed, lost, outcome.throughput_rps,
+        outcome.latency_p50_us, outcome.latency_p95_us, outcome.latency_p99_us,
+        static_cast<unsigned long long>(fs.watermark),
+        static_cast<unsigned long long>(fs.latest_version), fs.stale_replicas,
+        static_cast<unsigned long long>(fs.drains),
+        static_cast<unsigned long long>(fs.readds), path.c_str());
+  } else {
+    std::printf(
+        "serve-bench: %zu requests (%zu completed, %zu shed), %.0f req/s, "
+        "p50/p95/p99 %.1f/%.1f/%.1f us, %llu batches, %llu hot swaps "
+        "(model v%llu -> v%llu)\nreport -> %s\n",
+        outcome.submitted, outcome.completed, outcome.shed,
+        outcome.throughput_rps, outcome.latency_p50_us, outcome.latency_p95_us,
+        outcome.latency_p99_us, static_cast<unsigned long long>(svc.batches),
+        static_cast<unsigned long long>(svc.snapshot_swaps -
+                                        before.snapshot_swaps),
+        static_cast<unsigned long long>(before.model_version),
+        static_cast<unsigned long long>(svc.model_version), path.c_str());
+  }
+  if (sink) {
+    std::printf("live stream -> %s (%llu records)\n", live_path.c_str(),
+                static_cast<unsigned long long>(sink->records()));
+  }
   return 0;
 }
 
