@@ -13,7 +13,9 @@
 #   4. TSan build + the thread-pool / forest / trainer / campaign / serve
 #      / shard tests (the multi-threaded code paths)
 #   5. bench smoke: run bench_micro with RunReport enabled and validate
-#      the emitted BENCH_micro.json with tools/bench_schema_check
+#      the emitted BENCH_micro.json with tools/bench_schema_check, which
+#      builds with gsight_obs and reads through obs::Json::parse (the same
+#      reader as `gsight tail`)
 #   5b. model kernels: legacy-vs-columnar forest train and predict
 #      benchmarks (plus BM_ForestTrainOverlapCoded, training on
 #      study-shaped overlap codes) and the serving-layer inference
@@ -65,6 +67,13 @@ FAST=0
 [[ "${1:-}" == "--fast" ]] && FAST=1
 
 banner() { printf '\n=== %s ===\n' "$*"; }
+
+# report_value <BENCH_*.json> <name>: the "value" on the line after a
+# '"name": "<name>"' line, the RunReport results layout.
+report_value() {
+  grep -A1 "\"name\": \"$2\"" "$1" | grep '"value"' \
+    | grep -o '[0-9][0-9.eE+-]*' | head -n 1
+}
 
 # Stages that did not run, one "<stage>: <reason>" each.
 SKIPPED=()
@@ -206,10 +215,6 @@ GSIGHT_THREADS=1 GSIGHT_BENCH_DIR="$KERNEL_DIR" "$BENCH_DIR/bench/bench_micro" \
 # RunReport delta: the blocked batched path against the legacy walker.
 # Informational (the hard floor is stage 5c's committed baseline), but a
 # missing entry means the bench filter above silently rotted — fail that.
-report_value() {
-  grep -A1 "\"name\": \"$2\"" "$1" | grep '"value"' \
-    | grep -o '[0-9][0-9.eE+-]*' | head -n 1
-}
 legacy_us=$(report_value "$KERNEL_DIR/BENCH_micro.json" BM_ForestPredictLegacy)
 batched_us=$(report_value "$KERNEL_DIR/BENCH_micro.json" BM_ForestPredictBatched)
 [[ -n "$legacy_us" && -n "$batched_us" ]] \
@@ -321,8 +326,7 @@ for report in "$SERVE_DIR/twin1/BENCH_serve.json" "$SERVE_DIR/threaded/BENCH_ser
   "$BENCH_DIR/tools/bench_schema_check" "$report"
   grep -q '"name": "hot_swaps_under_load"' "$report" \
     || { echo "serve smoke: $report lacks hot_swaps_under_load"; exit 1; }
-  swaps=$(grep -A1 '"name": "hot_swaps_under_load"' "$report" \
-          | grep '"value"' | grep -o '[0-9.]\+')
+  swaps=$(report_value "$report" hot_swaps_under_load)
   awk -v s="$swaps" 'BEGIN { exit (s >= 1 ? 0 : 1) }' \
     || { echo "serve smoke: $report reports no hot swap under load"; exit 1; }
 done
@@ -333,13 +337,6 @@ banner "fleet twin-run: drain/re-shard determinism + live stream + capacity"
 FLEET_DIR="$BENCH_DIR/fleet-smoke"
 rm -rf "$FLEET_DIR"
 mkdir -p "$FLEET_DIR/twin1" "$FLEET_DIR/twin2" "$FLEET_DIR/single" "$FLEET_DIR/cap4"
-
-# Pulls "value" off the line after a '"name": "<metric>"' line, the
-# RunReport results layout (same idiom as the hot-swap check above).
-bench_value() {
-  grep -A1 "\"name\": \"$2\"" "$1" | grep '"value"' \
-    | grep -o '[0-9][0-9.eE+-]*' | head -n 1
-}
 
 FLEET_ARGS=(--threads 0 --fleet 4 --requests 3000 --dim 64 --warm 128
             --rate 200000 --seed 99 --drain 1@1000:2000)
@@ -363,9 +360,9 @@ echo "fleet twins are byte-identical (report modulo wall_time_s; stream exact)"
   || { echo "fleet twin-run: gsight tail failed on the live stream"; exit 1; }
 # Conservation across the re-shard: nothing lost, and the drain + re-add
 # actually happened.
-lost=$(bench_value "$FLEET_DIR/twin1/BENCH_serve_fleet.json" lost)
-drains=$(bench_value "$FLEET_DIR/twin1/BENCH_serve_fleet.json" drains)
-readds=$(bench_value "$FLEET_DIR/twin1/BENCH_serve_fleet.json" readds)
+lost=$(report_value "$FLEET_DIR/twin1/BENCH_serve_fleet.json" lost)
+drains=$(report_value "$FLEET_DIR/twin1/BENCH_serve_fleet.json" drains)
+readds=$(report_value "$FLEET_DIR/twin1/BENCH_serve_fleet.json" readds)
 awk -v l="$lost" -v d="$drains" -v r="$readds" \
   'BEGIN { exit (l == 0 && d >= 1 && r >= 1 ? 0 : 1) }' \
   || { echo "fleet twin-run: lost=$lost drains=$drains readds=$readds"; exit 1; }
@@ -381,8 +378,8 @@ CAP_ARGS=(--threads 0 --requests 20000 --dim 64 --warm 128 --rate 2500000
   --out "$FLEET_DIR/single" > /dev/null
 "$BENCH_DIR/tools/gsight" serve-bench "${CAP_ARGS[@]}" --fleet 4 \
   --out "$FLEET_DIR/cap4" > /dev/null
-single_rps=$(bench_value "$FLEET_DIR/single/BENCH_serve.json" throughput)
-fleet_rps=$(bench_value "$FLEET_DIR/cap4/BENCH_serve_fleet.json" throughput)
+single_rps=$(report_value "$FLEET_DIR/single/BENCH_serve.json" throughput)
+fleet_rps=$(report_value "$FLEET_DIR/cap4/BENCH_serve_fleet.json" throughput)
 awk -v s="$single_rps" -v f="$fleet_rps" \
   'BEGIN { exit (s > 0 && f >= 3 * s ? 0 : 1) }' \
   || { echo "fleet capacity: $fleet_rps rps vs single $single_rps rps (< 3x)"; exit 1; }

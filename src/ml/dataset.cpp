@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
+#include <string>
 
 namespace gsight::ml {
 
@@ -68,6 +70,15 @@ void Dataset::add(std::span<const double> x, double y) {
 }
 
 void Dataset::append(const Dataset& other) {
+  // Checked before any row moves, so a wrong-width batch leaves this
+  // dataset (and the model whose partial_fit appends it) untouched.
+  // Matrix::push_row only asserts the width, which release builds drop.
+  if (!other.empty() && feature_count() != 0 &&
+      other.feature_count() != feature_count()) {
+    throw std::invalid_argument(
+        "Dataset::append: batch has " + std::to_string(other.feature_count()) +
+        " features, dataset has " + std::to_string(feature_count()));
+  }
   for (std::size_t i = 0; i < other.size(); ++i) add(other.x(i), other.y(i));
 }
 

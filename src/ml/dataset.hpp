@@ -54,6 +54,8 @@ class Dataset {
   explicit Dataset(std::size_t feature_count) : features_(0, feature_count) {}
 
   void add(std::span<const double> x, double y);
+  /// Appends every row of `other`. Throws std::invalid_argument, adding
+  /// nothing, when `other` has rows and both widths are set but differ.
   void append(const Dataset& other);
 
   std::size_t size() const { return targets_.size(); }

@@ -49,16 +49,6 @@ Dataset read_dataset(std::istream& in) {
   return data;
 }
 
-void write_forest(std::ostream& out, const RandomForestRegressor& forest) {
-  forest.save(out);
-}
-
-RandomForestRegressor read_forest(std::istream& in) {
-  RandomForestRegressor forest;
-  forest.load(in);
-  return forest;
-}
-
 void save_incremental_forest(const IncrementalForest& model,
                              const std::string& path) {
   std::ofstream out(path);

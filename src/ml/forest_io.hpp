@@ -1,8 +1,9 @@
-// Persistence for trained forests and datasets. A production Gsight
+// Persistence for incremental forests and datasets. A production Gsight
 // controller trains incrementally for hours (§6.2: ~9k samples to reach
 // ~1% error); losing the model on restart would mean re-converging from
 // the offline dataset, so both the forest and its sample buffer round-trip
-// through a line-oriented text format (same conventions as profile_io).
+// through a line-oriented text format (same conventions as profile_io). A
+// bare forest saves and loads through RandomForestRegressor::save/load.
 #pragma once
 
 #include <iosfwd>
@@ -16,9 +17,6 @@ namespace gsight::ml {
 
 void write_dataset(std::ostream& out, const Dataset& data);
 Dataset read_dataset(std::istream& in);
-
-void write_forest(std::ostream& out, const RandomForestRegressor& forest);
-RandomForestRegressor read_forest(std::istream& in);
 
 /// Full incremental state: forest + sample buffer + configuration knobs
 /// + the monotonic model version stamp + the updater's RNG stream, i.e.

@@ -1,9 +1,13 @@
 #include "obs/json.hpp"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <ostream>
 #include <sstream>
+#include <system_error>
+#include <unordered_set>
 
 namespace gsight::obs {
 
@@ -155,6 +159,189 @@ std::string Json::dump_string(int indent) const {
   std::ostringstream os;
   dump(os, indent);
   return os.str();
+}
+
+// Recursive descent over RFC 8259's grammar. Each rule consumes its input
+// and returns a value, or records the first error and returns nullopt;
+// `depth` counts the containers around the value being read.
+struct Json::Reader {
+  std::string_view text;
+  std::size_t pos = 0;
+  std::size_t error_at = 0;
+  const char* error = "";
+
+  std::nullopt_t fail(std::size_t at, const char* what) {
+    error_at = at;
+    error = what;
+    return std::nullopt;
+  }
+
+  bool at_end() const { return pos >= text.size(); }
+  bool next_is(char c) const { return !at_end() && text[pos] == c; }
+  bool next_is_digit() const {
+    return !at_end() && text[pos] >= '0' && text[pos] <= '9';
+  }
+
+  void skip_ws() {
+    while (next_is(' ') || next_is('\t') || next_is('\n') || next_is('\r')) {
+      ++pos;
+    }
+  }
+
+  /// Consumes `c` after optional whitespace.
+  bool eat(char c) {
+    skip_ws();
+    if (!next_is(c)) return false;
+    ++pos;
+    return true;
+  }
+
+  bool eat_word(std::string_view word) {
+    if (text.substr(pos, word.size()) != word) return false;
+    pos += word.size();
+    return true;
+  }
+
+  std::size_t digits() {
+    const std::size_t start = pos;
+    while (next_is_digit()) ++pos;
+    return pos - start;
+  }
+
+  std::optional<Json> value(int depth) {  // NOLINT(misc-no-recursion)
+    skip_ws();
+    if (at_end()) return fail(pos, "unexpected end of input");
+    if (next_is('{') || next_is('[')) {
+      if (depth >= kMaxDepth) return fail(pos, "nesting too deep");
+      return next_is('{') ? object(depth + 1) : array(depth + 1);
+    }
+    if (next_is('"')) {
+      auto s = string();
+      if (!s) return std::nullopt;
+      return Json(std::move(*s));
+    }
+    if (eat_word("true")) return Json(true);
+    if (eat_word("false")) return Json(false);
+    if (eat_word("null")) return Json();
+    return number();
+  }
+
+  std::optional<Json> number() {
+    const std::size_t start = pos;
+    if (next_is('-')) ++pos;
+    // A leading zero stands alone: no context accepts a digit after a
+    // value, so "01" fails at the '1' in the caller.
+    if (next_is('0')) {
+      ++pos;
+    } else if (digits() == 0) {
+      return fail(start, pos > start ? "malformed number" : "expected a value");
+    }
+    if (next_is('.')) {
+      ++pos;
+      if (digits() == 0) return fail(pos, "malformed number");
+    }
+    if (next_is('e') || next_is('E')) {
+      ++pos;
+      if (next_is('+') || next_is('-')) ++pos;
+      if (digits() == 0) return fail(pos, "malformed number");
+    }
+    // The grammar above is a subset of strtod's, so it reads the whole
+    // token; underflow to zero is fine, overflow to infinity is not.
+    const std::string token(text.substr(start, pos - start));
+    const double v = std::strtod(token.c_str(), nullptr);
+    if (!std::isfinite(v)) return fail(start, "number out of range");
+    return Json(v);
+  }
+
+  std::optional<std::string> string() {
+    ++pos;  // '"'
+    std::string out;
+    while (!at_end()) {
+      const char c = text[pos];
+      if (c == '"') {
+        ++pos;
+        return out;
+      }
+      if (static_cast<unsigned char>(c) < 0x20) {
+        return fail(pos, "raw control character in string");
+      }
+      if (c != '\\') {
+        out.push_back(c);
+        ++pos;
+        continue;
+      }
+      const std::size_t escape_at = pos++;
+      if (at_end()) break;
+      const char e = text[pos++];
+      constexpr std::string_view kEscapes = "\"\\/bfnrt";
+      constexpr std::string_view kDecoded = "\"\\/\b\f\n\r\t";
+      if (const auto k = kEscapes.find(e); k != std::string_view::npos) {
+        out.push_back(kDecoded[k]);
+        continue;
+      }
+      if (e != 'u') return fail(escape_at, "unknown escape");
+      const std::string_view hex = text.substr(pos, 4);
+      unsigned code = 0;
+      const auto [end, ec] =
+          std::from_chars(hex.data(), hex.data() + hex.size(), code, 16);
+      if (ec != std::errc() || end != hex.data() + 4) {
+        return fail(escape_at, "bad \\u escape");
+      }
+      if (code > 0x7F) return fail(escape_at, "\\u escape above 0x7F");
+      out.push_back(static_cast<char>(code));
+      pos += 4;
+    }
+    return fail(pos, "unterminated string");
+  }
+
+  std::optional<Json> array(int depth) {  // NOLINT(misc-no-recursion)
+    ++pos;  // '['
+    Json arr = Json::array();
+    if (eat(']')) return arr;
+    do {
+      auto item = value(depth);
+      if (!item) return std::nullopt;
+      arr.items_.push_back(std::move(*item));
+    } while (eat(','));
+    if (!eat(']')) return fail(pos, "expected ',' or ']'");
+    return arr;
+  }
+
+  std::optional<Json> object(int depth) {  // NOLINT(misc-no-recursion)
+    ++pos;  // '{'
+    Json obj = Json::object();
+    if (eat('}')) return obj;
+    std::unordered_set<std::string> keys;
+    do {
+      skip_ws();
+      const std::size_t key_at = pos;
+      if (!next_is('"')) return fail(pos, "expected a string key");
+      auto key = string();
+      if (!key) return std::nullopt;
+      if (!keys.insert(*key).second) return fail(key_at, "duplicate key");
+      if (!eat(':')) return fail(pos, "expected ':'");
+      auto member = value(depth);
+      if (!member) return std::nullopt;
+      obj.members_.emplace_back(std::move(*key), std::move(*member));
+    } while (eat(','));
+    if (!eat('}')) return fail(pos, "expected ',' or '}'");
+    return obj;
+  }
+};
+
+std::optional<Json> Json::parse(std::string_view text, std::string* error) {
+  Reader reader{text};
+  std::optional<Json> doc = reader.value(0);
+  if (doc) {
+    reader.skip_ws();
+    if (!reader.at_end()) {
+      doc = reader.fail(reader.pos, "trailing characters after the document");
+    }
+  }
+  if (!doc && error != nullptr) {
+    *error = "offset " + std::to_string(reader.error_at) + ": " + reader.error;
+  }
+  return doc;
 }
 
 }  // namespace gsight::obs

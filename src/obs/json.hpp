@@ -1,15 +1,18 @@
-// Minimal ordered JSON document builder used by the observability layer
-// (metrics export, run reports). Writer-only by design: the simulator
-// emits machine-readable artifacts but never parses them (validation
-// lives in tools/bench_schema_check). Object keys keep insertion order so
+// Minimal ordered JSON document used by the observability layer (metrics
+// export, run reports, live streams). Object keys keep insertion order so
 // exports are byte-stable across identical runs — the determinism harness
-// compares them as strings.
+// compares them as strings. `parse` is the repo's one JSON reader: `gsight
+// tail`, tools/bench_schema_check and the tests read artifacts back through
+// it. The simulator itself only writes; the reader shares no code with
+// `dump`, so round-trip tests pit the two against each other.
 #pragma once
 
 #include <cstdint>
 #include <iosfwd>
 #include <memory>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -41,6 +44,21 @@ class Json {
     return j;
   }
 
+  /// Deepest container nesting `parse` accepts. The repo's artifacts nest
+  /// a few levels; the bound keeps hostile input from overflowing the
+  /// stack, since reading and destroying a tree both recurse.
+  static constexpr int kMaxDepth = 64;
+
+  /// Parse one JSON document (RFC 8259; whitespace around it allowed).
+  /// Stricter than the RFC where the writer never goes: numbers must be
+  /// finite doubles, a duplicate object key is an error, a \u escape above
+  /// 0x7F is refused (the writer emits non-ASCII as raw UTF-8) and nesting
+  /// is limited to kMaxDepth. On malformed input returns std::nullopt and,
+  /// when `error` is non-null, sets it to "offset N: <reason>". Never
+  /// throws on bad input.
+  static std::optional<Json> parse(std::string_view text,
+                                   std::string* error = nullptr);
+
   Kind kind() const { return kind_; }
   bool is_object() const { return kind_ == Kind::kObject; }
   bool is_array() const { return kind_ == Kind::kArray; }
@@ -71,6 +89,8 @@ class Json {
   std::string dump_string(int indent = 2) const;
 
  private:
+  struct Reader;  // json.cpp: the recursive-descent parser behind parse()
+
   void dump_impl(std::ostream& os, int indent, int depth) const;
 
   Kind kind_;

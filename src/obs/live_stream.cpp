@@ -1,7 +1,5 @@
 #include "obs/live_stream.hpp"
 
-#include <cctype>
-#include <cstdlib>
 #include <ostream>
 
 namespace gsight::obs {
@@ -15,17 +13,6 @@ const char* kind_name(MetricSample::Kind kind) {
     case MetricSample::Kind::kHistogram: return "histogram";
   }
   return "counter";
-}
-
-const char* phase_of(TraceEvent::Kind kind) {
-  switch (kind) {
-    case TraceEvent::Kind::kComplete: return "X";
-    case TraceEvent::Kind::kInstant: return "i";
-    case TraceEvent::Kind::kCounter: return "C";
-    case TraceEvent::Kind::kAsyncBegin: return "b";
-    case TraceEvent::Kind::kAsyncEnd: return "e";
-  }
-  return "i";
 }
 
 }  // namespace
@@ -111,7 +98,7 @@ void LiveStreamSink::on_event(const TraceEvent& event) {
   rec.set("type", "span");
   rec.set("seq", seq_);
   rec.set("ts_s", event.ts_s);
-  rec.set("ph", phase_of(event.kind));
+  rec.set("ph", trace_phase(event.kind));
   rec.set("name", event.name);
   rec.set("cat", event.cat);
   if (event.kind == TraceEvent::Kind::kComplete) rec.set("dur_s", event.dur_s);
@@ -130,223 +117,6 @@ void LiveStreamSink::on_event(const TraceEvent& event) {
 std::uint64_t LiveStreamSink::records() const {
   core::MutexLock lock(mutex_);
   return seq_;
-}
-
-// ---------------------------------------------------------------------------
-// parse_live_line — a compact recursive-descent JSON reader for one NDJSON
-// record. Accepts exactly what Json::dump(0) emits (plus whitespace);
-// rejects trailing garbage.
-
-namespace {
-
-class LineParser {
- public:
-  explicit LineParser(const std::string& text) : text_(text) {}
-
-  std::optional<Json> parse(std::string* error) {
-    auto value = parse_value();
-    if (!value) {
-      if (error) *error = error_;
-      return std::nullopt;
-    }
-    skip_ws();
-    if (pos_ != text_.size()) {
-      if (error) *error = "trailing characters after JSON value";
-      return std::nullopt;
-    }
-    return value;
-  }
-
- private:
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_])) != 0) {
-      ++pos_;
-    }
-  }
-
-  bool fail(const std::string& what) {
-    if (error_.empty()) error_ = what;
-    return false;
-  }
-
-  bool consume(char c) {
-    skip_ws();
-    if (pos_ >= text_.size() || text_[pos_] != c) {
-      return fail(std::string("expected '") + c + "'");
-    }
-    ++pos_;
-    return true;
-  }
-
-  bool parse_string(std::string* out) {
-    if (!consume('"')) return false;
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_++];
-      if (c == '"') return true;
-      if (c == '\\') {
-        if (pos_ >= text_.size()) return fail("dangling escape");
-        const char esc = text_[pos_++];
-        switch (esc) {
-          case '"': out->push_back('"'); break;
-          case '\\': out->push_back('\\'); break;
-          case '/': out->push_back('/'); break;
-          case 'b': out->push_back('\b'); break;
-          case 'f': out->push_back('\f'); break;
-          case 'n': out->push_back('\n'); break;
-          case 'r': out->push_back('\r'); break;
-          case 't': out->push_back('\t'); break;
-          case 'u': {
-            if (pos_ + 4 > text_.size()) return fail("truncated \\u escape");
-            unsigned code = 0;
-            for (int i = 0; i < 4; ++i) {
-              const char h = text_[pos_++];
-              code <<= 4U;
-              if (h >= '0' && h <= '9') code |= static_cast<unsigned>(h - '0');
-              else if (h >= 'a' && h <= 'f') code |= static_cast<unsigned>(h - 'a' + 10);
-              else if (h >= 'A' && h <= 'F') code |= static_cast<unsigned>(h - 'A' + 10);
-              else return fail("bad \\u escape digit");
-            }
-            // The writer only escapes control characters; decode the
-            // single-byte range and pass anything else through raw.
-            out->push_back(static_cast<char>(code & 0xFFU));
-            break;
-          }
-          default: return fail("unknown escape");
-        }
-      } else {
-        out->push_back(c);
-      }
-    }
-    return fail("unterminated string");
-  }
-
-  std::optional<Json> parse_value() {  // NOLINT(misc-no-recursion)
-    skip_ws();
-    if (pos_ >= text_.size()) {
-      fail("unexpected end of input");
-      return std::nullopt;
-    }
-    const char c = text_[pos_];
-    if (c == '{') return parse_object();
-    if (c == '[') return parse_array();
-    if (c == '"') {
-      std::string s;
-      if (!parse_string(&s)) return std::nullopt;
-      return Json(std::move(s));
-    }
-    if (text_.compare(pos_, 4, "true") == 0) {
-      pos_ += 4;
-      return Json(true);
-    }
-    if (text_.compare(pos_, 5, "false") == 0) {
-      pos_ += 5;
-      return Json(false);
-    }
-    if (text_.compare(pos_, 4, "null") == 0) {
-      pos_ += 4;
-      return Json();
-    }
-    return parse_number();
-  }
-
-  std::optional<Json> parse_number() {
-    const std::size_t start = pos_;
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) != 0 ||
-            text_[pos_] == '-' || text_[pos_] == '+' || text_[pos_] == '.' ||
-            text_[pos_] == 'e' || text_[pos_] == 'E')) {
-      ++pos_;
-    }
-    if (pos_ == start) {
-      fail("expected a value");
-      return std::nullopt;
-    }
-    const std::string token = text_.substr(start, pos_ - start);
-    char* end = nullptr;
-    const double v = std::strtod(token.c_str(), &end);
-    if (end == nullptr || *end != '\0') {
-      fail("malformed number: " + token);
-      return std::nullopt;
-    }
-    return Json(v);
-  }
-
-  std::optional<Json> parse_object() {  // NOLINT(misc-no-recursion)
-    if (!consume('{')) return std::nullopt;
-    Json obj = Json::object();
-    skip_ws();
-    if (pos_ < text_.size() && text_[pos_] == '}') {
-      ++pos_;
-      return obj;
-    }
-    for (;;) {
-      std::string key;
-      skip_ws();
-      if (!parse_string(&key)) return std::nullopt;
-      if (!consume(':')) return std::nullopt;
-      auto value = parse_value();
-      if (!value) return std::nullopt;
-      obj.set(key, std::move(*value));
-      skip_ws();
-      if (pos_ >= text_.size()) {
-        fail("unterminated object");
-        return std::nullopt;
-      }
-      if (text_[pos_] == ',') {
-        ++pos_;
-        continue;
-      }
-      if (text_[pos_] == '}') {
-        ++pos_;
-        return obj;
-      }
-      fail("expected ',' or '}'");
-      return std::nullopt;
-    }
-  }
-
-  std::optional<Json> parse_array() {  // NOLINT(misc-no-recursion)
-    if (!consume('[')) return std::nullopt;
-    Json arr = Json::array();
-    skip_ws();
-    if (pos_ < text_.size() && text_[pos_] == ']') {
-      ++pos_;
-      return arr;
-    }
-    for (;;) {
-      auto value = parse_value();
-      if (!value) return std::nullopt;
-      arr.push_back(std::move(*value));
-      skip_ws();
-      if (pos_ >= text_.size()) {
-        fail("unterminated array");
-        return std::nullopt;
-      }
-      if (text_[pos_] == ',') {
-        ++pos_;
-        continue;
-      }
-      if (text_[pos_] == ']') {
-        ++pos_;
-        return arr;
-      }
-      fail("expected ',' or ']'");
-      return std::nullopt;
-    }
-  }
-
-  const std::string& text_;
-  std::size_t pos_ = 0;
-  std::string error_;
-};
-
-}  // namespace
-
-std::optional<Json> parse_live_line(const std::string& line,
-                                    std::string* error) {
-  LineParser parser(line);
-  return parser.parse(error);
 }
 
 }  // namespace gsight::obs

@@ -1,7 +1,8 @@
 // LiveStreamSink — the in-flight introspection surface (schema
 // `gsight-live/v1`). While BENCH_*.json reports a run post-mortem, this
 // sink streams newline-delimited JSON records as the run happens, so a
-// `gsight tail` (or any `tail -f | jq`) can watch a serve fleet live:
+// `gsight tail` (or any `tail -f | jq`) can watch a serve fleet live; each
+// line reads back with obs::Json::parse:
 //
 //   {"schema":"gsight-live/v1","type":"hello","seq":0,"source":...}
 //   {"type":"metric","seq":1,"ts_s":...,"kind":"counter","name":...,
@@ -27,7 +28,6 @@
 #include <cstdint>
 #include <iosfwd>
 #include <map>
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -85,15 +85,5 @@ class LiveStreamSink final : public TraceSink {
   std::map<std::string, std::pair<double, double>> last_
       GSIGHT_GUARDED_BY(mutex_);
 };
-
-/// Parse one NDJSON line back into an obs::Json tree — the *read* side of
-/// the live stream, used by `gsight tail` and the round-trip tests.
-/// Deliberately lives here, not in obs/json.hpp: the Json builder stays
-/// writer-only for the simulator; this reader exists only for the live
-/// introspection surface (full artifact validation stays in
-/// tools/bench_schema_check, which carries its own parser).
-/// Returns std::nullopt and sets `*error` on malformed input.
-std::optional<Json> parse_live_line(const std::string& line,
-                                    std::string* error = nullptr);
 
 }  // namespace gsight::obs

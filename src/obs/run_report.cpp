@@ -30,7 +30,7 @@ void RunReport::attach_metrics(const MetricsRegistry& registry) {
 
 Json RunReport::to_json() const {
   Json doc = Json::object();
-  doc.set("schema", "gsight-bench-report/v1");
+  doc.set("schema", kBenchReportSchema);
   doc.set("bench", bench_name_);
   doc.set("wall_time_s", wall_time_s_);
   doc.set("results", results_);

@@ -1,7 +1,8 @@
 // RunReport — machine-readable benchmark results. Every bench binary
 // builds one of these and writes BENCH_<name>.json on exit, which is what
-// populates the repo's perf trajectory. The schema (validated by
-// tools/bench_schema_check, see DESIGN.md §8) is:
+// populates the repo's perf trajectory. The schema (read back through
+// obs::Json::parse and validated by tools/bench_schema_check, see
+// DESIGN.md §8) is:
 //
 //   {
 //     "schema": "gsight-bench-report/v1",
@@ -23,6 +24,8 @@
 #include "obs/metrics.hpp"
 
 namespace gsight::obs {
+
+inline constexpr const char* kBenchReportSchema = "gsight-bench-report/v1";
 
 class RunReport {
  public:

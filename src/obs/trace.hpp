@@ -49,6 +49,10 @@ struct TraceEvent {
   std::vector<std::pair<const char*, std::string>> args;
 };
 
+/// The event's Chrome trace-event phase letter ("X", "i", "C", "b", "e"),
+/// shared by the Chrome exporter and the live stream's "ph" field.
+const char* trace_phase(TraceEvent::Kind kind);
+
 /// Well-known pid lanes used by the simulator's emitters.
 struct Lanes {
   static constexpr std::uint64_t kPlatform = 1;  ///< gateway, servers, scaler

@@ -10,25 +10,21 @@
 
 namespace gsight::obs {
 
-namespace {
-
-char phase_char(TraceEvent::Kind kind) {
+const char* trace_phase(TraceEvent::Kind kind) {
   switch (kind) {
     case TraceEvent::Kind::kComplete:
-      return 'X';
+      return "X";
     case TraceEvent::Kind::kInstant:
-      return 'i';
+      return "i";
     case TraceEvent::Kind::kCounter:
-      return 'C';
+      return "C";
     case TraceEvent::Kind::kAsyncBegin:
-      return 'b';
+      return "b";
     case TraceEvent::Kind::kAsyncEnd:
-      return 'e';
+      return "e";
   }
-  return 'i';
+  return "i";
 }
-
-}  // namespace
 
 std::string chrome_trace_event_json(const TraceEvent& event) {
   std::string out = "{\"name\":\"";
@@ -36,7 +32,7 @@ std::string chrome_trace_event_json(const TraceEvent& event) {
   out += "\",\"cat\":\"";
   out += json_escape(event.cat);
   out += "\",\"ph\":\"";
-  out += phase_char(event.kind);
+  out += trace_phase(event.kind);
   // Sim seconds → trace microseconds.
   out += "\",\"ts\":";
   out += json_number(event.ts_s * 1e6);

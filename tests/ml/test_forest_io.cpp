@@ -68,8 +68,9 @@ TEST(ForestIo, ForestRoundTripPredictsIdentically) {
   RandomForestRegressor forest(cfg);
   forest.fit(data, rng);
   std::stringstream buffer;
-  write_forest(buffer, forest);
-  const auto loaded = read_forest(buffer);
+  forest.save(buffer);
+  RandomForestRegressor loaded;
+  loaded.load(buffer);
   EXPECT_EQ(loaded.tree_count(), forest.tree_count());
   for (std::size_t i = 0; i < 50; ++i) {
     const auto x = data.x(i);

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <memory>
+#include <stdexcept>
+#include <vector>
 
 #include "ml/incremental_forest.hpp"
 #include "ml/knn.hpp"
@@ -89,6 +92,27 @@ TEST_P(ModelSweep, EmptyBatchIsNoop) {
   auto model = make(GetParam());
   model->partial_fit(Dataset(3));
   EXPECT_EQ(model->samples_seen(), 0u);
+}
+
+// Matrix::push_row checks width only by assert, so before
+// Dataset::append checked it a release build trained on the misread rows.
+TEST_P(ModelSweep, WrongWidthBatchThrowsAndLeavesModelUntouched) {
+  stats::Rng rng(17);
+  auto model = make(GetParam());
+  model->partial_fit(linear_data(64, rng));
+  const std::vector<double> probe{0.1, 0.2, 0.3};
+  const double before = model->predict(probe);
+  const auto* forest = dynamic_cast<const IncrementalForest*>(model.get());
+  const std::uint64_t version = forest != nullptr ? forest->version() : 0;
+
+  Dataset narrow(2);
+  for (int i = 0; i < 8; ++i) narrow.add(std::vector<double>{0.5, -0.5}, 9.0);
+  EXPECT_THROW(model->partial_fit(narrow), std::invalid_argument);
+  EXPECT_EQ(model->samples_seen(), 64u);
+  EXPECT_EQ(model->predict(probe), before);
+  if (forest != nullptr) {
+    EXPECT_EQ(forest->version(), version);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllModels, ModelSweep,

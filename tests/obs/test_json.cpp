@@ -1,13 +1,24 @@
-// Tests for the ordered JSON writer (src/obs/json.hpp): insertion-order
-// objects, deterministic number formatting, escaping, and the null
-// handling the exporters rely on.
+// Tests for the ordered JSON document (src/obs/json.hpp): insertion-order
+// objects, deterministic number formatting, escaping, the null handling
+// the exporters rely on, and the reader's rules, pinned case by case and
+// by a seeded mutation fuzz over real artifacts.
 #include "obs/json.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <limits>
+#include <optional>
 #include <sstream>
+#include <string>
+#include <string_view>
+#include <vector>
+
+#include "obs/live_stream.hpp"
+#include "obs/metrics.hpp"
+#include "obs/run_report.hpp"
+#include "obs/trace.hpp"
+#include "stats/rng.hpp"
 
 namespace {
 
@@ -115,6 +126,158 @@ TEST(Json, DumpToStreamMatchesDumpString) {
   std::ostringstream os;
   j.dump(os, 2);
   EXPECT_EQ(os.str(), j.dump_string(2));
+}
+
+TEST(JsonParse, RejectsHostileInputAtItsOffset) {
+  std::string object_bomb;
+  for (int i = 0; i < 300000; ++i) object_bomb += R"({"a":)";
+  const struct {
+    std::string text;
+    std::size_t offset;
+  } cases[] = {
+      {std::string(300000, '['), Json::kMaxDepth},  // the 65th '['
+      {object_bomb, 5 * Json::kMaxDepth},
+      {"+1", 0},
+      {"01", 1},
+      {".5", 0},
+      {"1.", 2},
+      {"1e999", 0},
+      {R"({"k":1,"k":2})", 7},
+      {"\"a\tb\"", 2},
+      {R"("\u0141")", 1},
+  };
+  for (const auto& c : cases) {
+    std::string error;
+    EXPECT_FALSE(Json::parse(c.text, &error).has_value())
+        << c.text.substr(0, 16);
+    EXPECT_EQ(error.rfind("offset " + std::to_string(c.offset) + ": ", 0), 0u)
+        << c.text.substr(0, 16) << " -> " << error;
+  }
+}
+
+TEST(JsonParse, AcceptsAsciiEscapesEdgeNumbersAndMaxDepth) {
+  const auto a = Json::parse(R"("\u0041")");
+  ASSERT_TRUE(a.has_value());
+  EXPECT_EQ(a->string(), "A");
+  const auto neg_zero = Json::parse("-0");
+  ASSERT_TRUE(neg_zero.has_value());
+  EXPECT_EQ(neg_zero->number(), 0.0);
+  EXPECT_TRUE(std::signbit(neg_zero->number()));
+  const auto tiny = Json::parse("1e-400");  // underflows to zero: finite
+  ASSERT_TRUE(tiny.has_value());
+  EXPECT_EQ(tiny->number(), 0.0);
+  const auto deep = Json::parse(std::string(Json::kMaxDepth, '[') +
+                                std::string(Json::kMaxDepth, ']'));
+  ASSERT_TRUE(deep.has_value());
+}
+
+// Seed documents for the fuzz: a run report with every section and each
+// line of a live stream carrying every record type, with escapes and raw
+// UTF-8 in the strings.
+std::vector<std::string> fuzz_seeds() {
+  gsight::obs::MetricsRegistry registry;
+  registry.counter("requests", {{"app", "social"}}).inc(3);
+  registry.gauge("depth").set(-2.5);
+  registry.histogram("latency").observe(0.125);
+
+  gsight::obs::RunReport report("fuzz");
+  report.set_wall_time_s(1.25);
+  report.add_result("p99", 1.0 / 3.0, "ms");
+  report.add_result("tab\there \"quoted\" \x01", -7);
+  Json series = Json::object();
+  series.set("curve", Json::array());
+  series.set("nested", Json::object());
+  report.add_series("cdf", std::move(series));
+  report.set_meta("note", "\xc5\x81ukasz");  // raw UTF-8
+  report.attach_metrics(registry);
+  std::vector<std::string> seeds{report.to_json().dump_string(2)};
+
+  std::ostringstream os;
+  gsight::obs::LiveStreamSink sink(os);
+  sink.hello("fuzz", {{"seed", "7"}});
+  sink.metric_deltas(0.5, registry);
+  gsight::obs::Tracer tracer(&sink);
+  tracer.complete(1.0, 0.25, "poll", "serve", 1, 2, {{"replica", "0"}});
+  tracer.async_begin(1.5, "request", "req", 42);
+  sink.mark(2.0, "fleet.drain", {{"replica", "1"}});
+  std::istringstream lines(os.str());
+  for (std::string line; std::getline(lines, line);) seeds.push_back(line);
+  return seeds;
+}
+
+// One random edit: replace, insert or delete bytes, truncate, or
+// duplicate a span. Inserted bytes favour the reader's syntax.
+void mutate(std::string& text, gsight::stats::Rng& rng) {
+  constexpr std::string_view kSyntax =
+      "{}[]\",:\\/u0123456789abcdefABCDEF+-.eE \t\ntruefalsn\x01\x7f\xc5";
+  const auto pick = [&](std::size_t n) {
+    return n == 0 ? std::size_t{0}
+                  : static_cast<std::size_t>(rng.uniform_index(n));
+  };
+  const auto byte = [&] {
+    return rng.uniform_index(4) == 0 ? static_cast<char>(rng.uniform_index(256))
+                                     : kSyntax[pick(kSyntax.size())];
+  };
+  // Draws are sequenced before each edit: argument evaluation order is
+  // unspecified, and the case stream must not depend on the compiler.
+  const std::size_t at = pick(text.size() + 1);
+  switch (rng.uniform_index(5)) {
+    case 0:
+      if (at < text.size()) text[at] = byte();
+      break;
+    case 1:
+      text.insert(at, 1, byte());
+      break;
+    case 2:
+      text.erase(at, 1 + pick(8));
+      break;
+    case 3:
+      text.resize(at);
+      break;
+    default: {
+      const std::size_t from = pick(text.size());
+      text.insert(at, text.substr(from, 1 + pick(32)));
+      break;
+    }
+  }
+}
+
+TEST(JsonFuzz, MutantsParseOrFailCleanlyAndRoundTrip) {
+  const auto seeds = fuzz_seeds();
+  for (const auto& seed : seeds) {
+    const auto doc = Json::parse(seed);
+    ASSERT_TRUE(doc.has_value()) << seed;
+    // The reader and the writer share no code: each seed must come back
+    // byte for byte in the layout it was written in.
+    EXPECT_EQ(doc->dump_string(seed.find('\n') == std::string::npos ? 0 : 2),
+              seed);
+  }
+
+  gsight::stats::Rng rng(20261017);
+  constexpr int kCases = 20000;
+  int parsed = 0;
+  for (int i = 0; i < kCases; ++i) {
+    std::string text = seeds[rng.uniform_index(seeds.size())];
+    for (auto edits = 1 + rng.uniform_index(3); edits > 0; --edits) {
+      mutate(text, rng);
+    }
+    std::string error;
+    std::optional<Json> doc;
+    ASSERT_NO_THROW(doc = Json::parse(text, &error)) << text;
+    if (!doc) {
+      ASSERT_FALSE(error.empty()) << text;
+      continue;
+    }
+    ++parsed;
+    const std::string once = doc->dump_string(0);
+    const auto again = Json::parse(once);
+    ASSERT_TRUE(again.has_value()) << once;
+    ASSERT_EQ(again->dump_string(0), once);
+  }
+  // Both outcomes must occur, or the mutations are too weak or too strong
+  // to test anything.
+  EXPECT_GT(parsed, 0);
+  EXPECT_LT(parsed, kCases);
 }
 
 }  // namespace

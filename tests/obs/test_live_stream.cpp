@@ -1,6 +1,6 @@
-// LiveStreamSink / parse_live_line tests — the gsight-live/v1 NDJSON
-// introspection surface behind `gsight serve-bench --live` and
-// `gsight tail`. Determinism matters most here: twin emissions must be
+// LiveStreamSink tests — the gsight-live/v1 NDJSON introspection surface
+// behind `gsight serve-bench --live` and `gsight tail`, read back through
+// Json::parse. Determinism matters most here: twin emissions must be
 // byte-identical, which is what the fleet twin-run gate compares.
 #include "obs/live_stream.hpp"
 
@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -35,12 +36,12 @@ TEST(LiveStream, HelloIsFirstAndSeqIsSequential) {
   ASSERT_EQ(lines.size(), 3u);
   EXPECT_EQ(sink.records(), 3u);
   for (std::size_t i = 0; i < lines.size(); ++i) {
-    const auto rec = parse_live_line(lines[i]);
+    const auto rec = Json::parse(lines[i]);
     ASSERT_TRUE(rec.has_value()) << lines[i];
     ASSERT_NE(rec->find("seq"), nullptr);
     EXPECT_EQ(rec->find("seq")->number(), static_cast<double>(i));
   }
-  const auto hello = parse_live_line(lines[0]);
+  const auto hello = Json::parse(lines[0]);
   EXPECT_EQ(hello->find("schema")->string(), kLiveSchema);
   EXPECT_EQ(hello->find("type")->string(), "hello");
   EXPECT_EQ(hello->find("source")->string(), "test");
@@ -63,16 +64,16 @@ TEST(LiveStream, MetricDeltasEmitOnlyChanges) {
   const auto lines = lines_of(os.str());
   ASSERT_EQ(lines.size(), 4u) << "hello + 2 first-emission + 1 delta";
   // samples() orders counters before gauges, so the counter leads.
-  const auto first = parse_live_line(lines[1]);
+  const auto first = Json::parse(lines[1]);
   EXPECT_EQ(first->find("type")->string(), "metric");
   EXPECT_EQ(first->find("name")->string(), "requests");
   EXPECT_EQ(first->find("kind")->string(), "counter");
   EXPECT_EQ(first->find("value")->number(), 3.0);
   EXPECT_EQ(first->find("delta")->number(), 3.0);
-  const auto second = parse_live_line(lines[2]);
+  const auto second = Json::parse(lines[2]);
   EXPECT_EQ(second->find("name")->string(), "depth");
   EXPECT_EQ(second->find("kind")->string(), "gauge");
-  const auto delta = parse_live_line(lines[3]);
+  const auto delta = Json::parse(lines[3]);
   EXPECT_EQ(delta->find("name")->string(), "requests");
   EXPECT_EQ(delta->find("ts_s")->number(), 2.0);
   EXPECT_EQ(delta->find("value")->number(), 5.0);
@@ -89,7 +90,7 @@ TEST(LiveStream, HistogramDeltasCarrySum) {
   sink.metric_deltas(1.0, registry);
   const auto lines = lines_of(os.str());
   ASSERT_EQ(lines.size(), 2u);
-  const auto rec = parse_live_line(lines[1]);
+  const auto rec = Json::parse(lines[1]);
   EXPECT_EQ(rec->find("kind")->string(), "histogram");
   EXPECT_EQ(rec->find("value")->number(), 2.0);  // count
   EXPECT_EQ(rec->find("sum")->number(), 6.0);
@@ -105,13 +106,13 @@ TEST(LiveStream, TracerEventsStreamAsSpans) {
 
   const auto lines = lines_of(os.str());
   ASSERT_EQ(lines.size(), 3u);
-  const auto span = parse_live_line(lines[1]);
+  const auto span = Json::parse(lines[1]);
   EXPECT_EQ(span->find("type")->string(), "span");
   EXPECT_EQ(span->find("ph")->string(), "X");
   EXPECT_EQ(span->find("name")->string(), "poll");
   EXPECT_EQ(span->find("dur_s")->number(), 0.25);
   EXPECT_EQ(span->find("args")->find("replica")->string(), "0");
-  const auto instant = parse_live_line(lines[2]);
+  const auto instant = Json::parse(lines[2]);
   EXPECT_EQ(instant->find("ph")->string(), "i");
   EXPECT_EQ(instant->find("dur_s"), nullptr);
 }
@@ -141,18 +142,18 @@ TEST(LiveStream, ParseRoundTripsEscapesAndRejectsGarbage) {
   sink.hello("tab\there \"quoted\"");
   const auto lines = lines_of(os.str());
   ASSERT_EQ(lines.size(), 1u);
-  const auto rec = parse_live_line(lines[0]);
+  const auto rec = Json::parse(lines[0]);
   ASSERT_TRUE(rec.has_value());
   EXPECT_EQ(rec->find("source")->string(), "tab\there \"quoted\"");
 
   std::string error;
-  EXPECT_FALSE(parse_live_line("", &error).has_value());
-  EXPECT_FALSE(parse_live_line("{\"a\":1} trailing", &error).has_value());
-  EXPECT_FALSE(parse_live_line("{\"a\":}", &error).has_value());
-  EXPECT_FALSE(parse_live_line("{\"a\":nope}", &error).has_value());
+  EXPECT_FALSE(Json::parse("", &error).has_value());
+  EXPECT_FALSE(Json::parse("{\"a\":1} trailing", &error).has_value());
+  EXPECT_FALSE(Json::parse("{\"a\":}", &error).has_value());
+  EXPECT_FALSE(Json::parse("{\"a\":nope}", &error).has_value());
   EXPECT_FALSE(error.empty());
 
-  const auto nested = parse_live_line(
+  const auto nested = Json::parse(
       R"({"a":[1,2,{"b":true,"c":null}],"d":-1.5e3})");
   ASSERT_TRUE(nested.has_value());
   ASSERT_NE(nested->find("a"), nullptr);

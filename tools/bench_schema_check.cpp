@@ -1,8 +1,8 @@
 // bench_schema_check — validates BENCH_*.json run reports against the
-// gsight-bench-report/v1 schema (src/obs/run_report.hpp). Standalone: no
-// dependency on the gsight libraries, so the check.sh bench-smoke stage
-// can build it next to the lint tool and validate reports produced by any
-// bench binary.
+// gsight-bench-report/v1 schema (src/obs/run_report.hpp). It links only
+// gsight_obs and reads every document through obs::Json::parse, the repo's
+// one JSON reader; the structural rules below are its own, so a writer bug
+// still shows up as an invalid report.
 //
 // Usage:
 //   bench_schema_check <report.json>...   validate each file; exit 1 on
@@ -10,6 +10,10 @@
 //   bench_schema_check --live <file>...   validate gsight-live/v1 NDJSON
 //                                         streams (serve-bench --live)
 //   bench_schema_check --self-test        run the built-in cases
+//
+// Every document (each line of a stream) must first parse under
+// obs::Json::parse's rules: RFC 8259 grammar, finite numbers, no duplicate
+// keys, nesting at most Json::kMaxDepth; a failure names the byte offset.
 //
 // Report schema requirements enforced:
 //   * top level is an object
@@ -28,238 +32,22 @@
 //     non-empty "name", and finite "ts_s"/"value"/"delta"
 //   * "span" records carry a non-empty "name", a non-empty "ph", and a
 //     finite "ts_s"; "mark" records a non-empty "name" and finite "ts_s"
-#include <cctype>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <map>
-#include <memory>
+#include <optional>
 #include <sstream>
-#include <stdexcept>
 #include <string>
-#include <vector>
+#include <string_view>
+
+#include "obs/json.hpp"
+#include "obs/live_stream.hpp"
+#include "obs/run_report.hpp"
 
 namespace {
 
-// ---------------------------------------------------------------------------
-// Minimal recursive-descent JSON parser (reader side of src/obs/json.hpp's
-// writer; deliberately independent so the validator cannot inherit a
-// writer bug and declare its own output valid).
-// ---------------------------------------------------------------------------
-
-struct Value {
-  enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
-  Kind kind = Kind::kNull;
-  bool boolean = false;
-  double number = 0.0;
-  bool number_is_null = false;  // "null" in a numeric position
-  std::string string;
-  std::vector<Value> items;
-  std::vector<std::pair<std::string, Value>> members;
-
-  const Value* find(const std::string& key) const {
-    for (const auto& [k, v] : members) {
-      if (k == key) return &v;
-    }
-    return nullptr;
-  }
-};
-
-class Parser {
- public:
-  explicit Parser(const std::string& text) : text_(text) {}
-
-  Value parse() {
-    Value v = parse_value();
-    skip_ws();
-    if (pos_ != text_.size()) fail("trailing characters after document");
-    return v;
-  }
-
- private:
-  [[noreturn]] void fail(const std::string& what) const {
-    throw std::runtime_error("json parse error at offset " +
-                             std::to_string(pos_) + ": " + what);
-  }
-
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           (text_[pos_] == ' ' || text_[pos_] == '\t' || text_[pos_] == '\n' ||
-            text_[pos_] == '\r')) {
-      ++pos_;
-    }
-  }
-
-  char peek() {
-    skip_ws();
-    if (pos_ >= text_.size()) fail("unexpected end of input");
-    return text_[pos_];
-  }
-
-  void expect(char c) {
-    if (peek() != c) fail(std::string("expected '") + c + "'");
-    ++pos_;
-  }
-
-  bool consume_literal(const char* lit) {
-    const std::size_t len = std::strlen(lit);
-    if (text_.compare(pos_, len, lit) == 0) {
-      pos_ += len;
-      return true;
-    }
-    return false;
-  }
-
-  Value parse_value() {
-    const char c = peek();
-    if (c == '{') return parse_object();
-    if (c == '[') return parse_array();
-    if (c == '"') {
-      Value v;
-      v.kind = Value::Kind::kString;
-      v.string = parse_string();
-      return v;
-    }
-    if (consume_literal("true")) {
-      Value v;
-      v.kind = Value::Kind::kBool;
-      v.boolean = true;
-      return v;
-    }
-    if (consume_literal("false")) {
-      Value v;
-      v.kind = Value::Kind::kBool;
-      return v;
-    }
-    if (consume_literal("null")) return Value{};
-    return parse_number();
-  }
-
-  Value parse_object() {
-    Value v;
-    v.kind = Value::Kind::kObject;
-    expect('{');
-    if (peek() == '}') {
-      ++pos_;
-      return v;
-    }
-    for (;;) {
-      if (peek() != '"') fail("object key must be a string");
-      std::string key = parse_string();
-      expect(':');
-      v.members.emplace_back(std::move(key), parse_value());
-      const char c = peek();
-      if (c == ',') {
-        ++pos_;
-        continue;
-      }
-      if (c == '}') {
-        ++pos_;
-        return v;
-      }
-      fail("expected ',' or '}' in object");
-    }
-  }
-
-  Value parse_array() {
-    Value v;
-    v.kind = Value::Kind::kArray;
-    expect('[');
-    if (peek() == ']') {
-      ++pos_;
-      return v;
-    }
-    for (;;) {
-      v.items.push_back(parse_value());
-      const char c = peek();
-      if (c == ',') {
-        ++pos_;
-        continue;
-      }
-      if (c == ']') {
-        ++pos_;
-        return v;
-      }
-      fail("expected ',' or ']' in array");
-    }
-  }
-
-  std::string parse_string() {
-    expect('"');
-    std::string out;
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_++];
-      if (c == '"') return out;
-      if (c == '\\') {
-        if (pos_ >= text_.size()) fail("dangling escape");
-        const char e = text_[pos_++];
-        switch (e) {
-          case '"': out += '"'; break;
-          case '\\': out += '\\'; break;
-          case '/': out += '/'; break;
-          case 'b': out += '\b'; break;
-          case 'f': out += '\f'; break;
-          case 'n': out += '\n'; break;
-          case 'r': out += '\r'; break;
-          case 't': out += '\t'; break;
-          case 'u': {
-            if (pos_ + 4 > text_.size()) fail("truncated \\u escape");
-            unsigned code = 0;
-            for (int i = 0; i < 4; ++i) {
-              const char h = text_[pos_++];
-              code <<= 4;
-              if (h >= '0' && h <= '9') {
-                code += static_cast<unsigned>(h - '0');
-              } else if (h >= 'a' && h <= 'f') {
-                code += static_cast<unsigned>(h - 'a' + 10);
-              } else if (h >= 'A' && h <= 'F') {
-                code += static_cast<unsigned>(h - 'A' + 10);
-              } else {
-                fail("bad \\u escape digit");
-              }
-            }
-            // Reports only escape control characters, so non-ASCII
-            // codepoints are passed through as '?' rather than UTF-8
-            // encoded — the validator never needs their value.
-            out += code < 0x80 ? static_cast<char>(code) : '?';
-            break;
-          }
-          default:
-            fail("unknown escape");
-        }
-        continue;
-      }
-      out += c;
-    }
-    fail("unterminated string");
-  }
-
-  Value parse_number() {
-    const std::size_t start = pos_;
-    if (pos_ < text_.size() && text_[pos_] == '-') ++pos_;
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) != 0 ||
-            text_[pos_] == '.' || text_[pos_] == 'e' || text_[pos_] == 'E' ||
-            text_[pos_] == '+' || text_[pos_] == '-')) {
-      ++pos_;
-    }
-    if (pos_ == start) fail("expected a value");
-    Value v;
-    v.kind = Value::Kind::kNumber;
-    try {
-      std::size_t used = 0;
-      v.number = std::stod(text_.substr(start, pos_ - start), &used);
-      if (used != pos_ - start) fail("malformed number");
-    } catch (const std::exception&) {
-      fail("malformed number");
-    }
-    return v;
-  }
-
-  const std::string& text_;
-  std::size_t pos_ = 0;
-};
+using gsight::obs::Json;
 
 // ---------------------------------------------------------------------------
 // Schema validation
@@ -273,67 +61,70 @@ void check(bool ok, const std::string& what) {
   if (!ok) throw Failure{what};
 }
 
-void validate_report(const Value& doc) {
-  check(doc.kind == Value::Kind::kObject, "top level is not an object");
+bool is(const Json* v, Json::Kind kind) {
+  return v != nullptr && v->kind() == kind;
+}
 
-  const Value* schema = doc.find("schema");
-  check(schema != nullptr && schema->kind == Value::Kind::kString,
-        "missing string field 'schema'");
-  check(schema->string == "gsight-bench-report/v1",
-        "unknown schema '" + schema->string + "'");
+/// The document in `text`, or a Failure naming the offset of the first
+/// syntax error; `where` prefixes the message ("line N: " in a stream).
+Json parse_document(std::string_view text, const std::string& where) {
+  std::string error;
+  std::optional<Json> doc = Json::parse(text, &error);
+  check(doc.has_value(), where + "json parse error at " + error);
+  return std::move(*doc);
+}
 
-  const Value* bench = doc.find("bench");
-  check(bench != nullptr && bench->kind == Value::Kind::kString &&
-            !bench->string.empty(),
+void validate_report(const Json& doc) {
+  check(doc.is_object(), "top level is not an object");
+
+  const Json* schema = doc.find("schema");
+  check(is(schema, Json::Kind::kString), "missing string field 'schema'");
+  check(schema->string() == gsight::obs::kBenchReportSchema,
+        "unknown schema '" + schema->string() + "'");
+
+  const Json* bench = doc.find("bench");
+  check(is(bench, Json::Kind::kString) && !bench->string().empty(),
         "missing non-empty string field 'bench'");
 
-  const Value* wall = doc.find("wall_time_s");
-  check(wall != nullptr && wall->kind == Value::Kind::kNumber,
-        "missing numeric field 'wall_time_s'");
-  check(std::isfinite(wall->number) && wall->number >= 0.0,
+  const Json* wall = doc.find("wall_time_s");
+  check(is(wall, Json::Kind::kNumber), "missing numeric field 'wall_time_s'");
+  check(std::isfinite(wall->number()) && wall->number() >= 0.0,
         "'wall_time_s' must be finite and >= 0");
 
-  const Value* results = doc.find("results");
-  check(results != nullptr && results->kind == Value::Kind::kArray,
-        "missing array field 'results'");
-  for (std::size_t i = 0; i < results->items.size(); ++i) {
-    const Value& row = results->items[i];
+  const Json* results = doc.find("results");
+  check(is(results, Json::Kind::kArray), "missing array field 'results'");
+  for (std::size_t i = 0; i < results->items().size(); ++i) {
+    const Json& row = results->items()[i];
     const std::string at = "results[" + std::to_string(i) + "]";
-    check(row.kind == Value::Kind::kObject, at + " is not an object");
-    const Value* name = row.find("name");
-    check(name != nullptr && name->kind == Value::Kind::kString &&
-              !name->string.empty(),
+    check(row.is_object(), at + " is not an object");
+    const Json* name = row.find("name");
+    check(is(name, Json::Kind::kString) && !name->string().empty(),
           at + " missing non-empty string 'name'");
-    const Value* value = row.find("value");
-    check(value != nullptr && value->kind == Value::Kind::kNumber,
-          at + " missing numeric 'value'");
-    check(std::isfinite(value->number), at + " 'value' is not finite");
-    if (const Value* unit = row.find("unit")) {
-      check(unit->kind == Value::Kind::kString, at + " 'unit' is not a string");
+    const Json* value = row.find("value");
+    check(is(value, Json::Kind::kNumber), at + " missing numeric 'value'");
+    check(std::isfinite(value->number()), at + " 'value' is not finite");
+    if (const Json* unit = row.find("unit")) {
+      check(is(unit, Json::Kind::kString), at + " 'unit' is not a string");
     }
   }
 
-  if (const Value* series = doc.find("series")) {
-    check(series->kind == Value::Kind::kObject, "'series' is not an object");
+  if (const Json* series = doc.find("series")) {
+    check(series->is_object(), "'series' is not an object");
   }
-  if (const Value* meta = doc.find("meta")) {
-    check(meta->kind == Value::Kind::kObject, "'meta' is not an object");
+  if (const Json* meta = doc.find("meta")) {
+    check(meta->is_object(), "'meta' is not an object");
   }
-  if (const Value* metrics = doc.find("metrics")) {
-    check(metrics->kind == Value::Kind::kArray, "'metrics' is not an array");
+  if (const Json* metrics = doc.find("metrics")) {
+    check(metrics->is_array(), "'metrics' is not an array");
   }
 }
 
-bool validate_text(const std::string& text, std::string* error) {
+bool validate_text(std::string_view text, std::string* error) {
   try {
-    const Value doc = Parser(text).parse();
-    validate_report(doc);
+    validate_report(parse_document(text, ""));
     return true;
   } catch (const Failure& f) {
     *error = f.what;
-    return false;
-  } catch (const std::exception& e) {
-    *error = e.what();
     return false;
   }
 }
@@ -342,93 +133,88 @@ bool validate_text(const std::string& text, std::string* error) {
 // gsight-live/v1 NDJSON streams
 // ---------------------------------------------------------------------------
 
-void check_finite_number(const Value& record, const char* field,
+void check_finite_number(const Json& record, const char* field,
                          const std::string& at) {
-  const Value* v = record.find(field);
-  check(v != nullptr && v->kind == Value::Kind::kNumber,
-        at + " missing numeric '" + field + "'");
-  check(std::isfinite(v->number),
+  const Json* v = record.find(field);
+  check(is(v, Json::Kind::kNumber), at + " missing numeric '" + field + "'");
+  check(std::isfinite(v->number()),
         at + " '" + std::string(field) + "' is not finite");
 }
 
-void check_nonempty_string(const Value& record, const char* field,
+void check_nonempty_string(const Json& record, const char* field,
                            const std::string& at) {
-  const Value* v = record.find(field);
-  check(v != nullptr && v->kind == Value::Kind::kString && !v->string.empty(),
+  const Json* v = record.find(field);
+  check(is(v, Json::Kind::kString) && !v->string().empty(),
         at + " missing non-empty string '" + field + "'");
 }
 
-void validate_live_record(const Value& record, std::size_t index) {
+void validate_live_record(const Json& record, std::size_t index) {
   const std::string at = "line " + std::to_string(index);
-  check(record.kind == Value::Kind::kObject, at + " is not an object");
+  check(record.is_object(), at + " is not an object");
 
-  const Value* type = record.find("type");
-  check(type != nullptr && type->kind == Value::Kind::kString,
-        at + " missing string field 'type'");
+  const Json* type = record.find("type");
+  check(is(type, Json::Kind::kString), at + " missing string field 'type'");
 
   // seq is assigned under the sink's lock: strictly sequential from 0, so
   // it must equal the line index — any gap means records were dropped.
-  const Value* seq = record.find("seq");
-  check(seq != nullptr && seq->kind == Value::Kind::kNumber,
-        at + " missing numeric field 'seq'");
-  check(seq->number == static_cast<double>(index),
-        at + " 'seq' is " + std::to_string(seq->number) +
+  const Json* seq = record.find("seq");
+  check(is(seq, Json::Kind::kNumber), at + " missing numeric field 'seq'");
+  check(seq->number() == static_cast<double>(index),
+        at + " 'seq' is " + std::to_string(seq->number()) +
             ", expected the line index");
 
   if (index == 0) {
-    check(type->string == "hello", "line 0 must be a 'hello' record");
-    const Value* schema = record.find("schema");
-    check(schema != nullptr && schema->kind == Value::Kind::kString,
+    check(type->string() == "hello", "line 0 must be a 'hello' record");
+    const Json* schema = record.find("schema");
+    check(is(schema, Json::Kind::kString),
           "hello record missing string field 'schema'");
-    check(schema->string == "gsight-live/v1",
-          "unknown live schema '" + schema->string + "'");
+    check(schema->string() == gsight::obs::kLiveSchema,
+          "unknown live schema '" + schema->string() + "'");
     check_nonempty_string(record, "source", at);
     return;
   }
-  check(type->string != "hello", at + " duplicate 'hello' record");
+  check(type->string() != "hello", at + " duplicate 'hello' record");
 
-  if (type->string == "metric") {
-    const Value* kind = record.find("kind");
-    check(kind != nullptr && kind->kind == Value::Kind::kString &&
-              (kind->string == "counter" || kind->string == "gauge" ||
-               kind->string == "histogram"),
+  if (type->string() == "metric") {
+    const Json* kind = record.find("kind");
+    check(is(kind, Json::Kind::kString) &&
+              (kind->string() == "counter" || kind->string() == "gauge" ||
+               kind->string() == "histogram"),
           at + " metric 'kind' must be counter/gauge/histogram");
     check_nonempty_string(record, "name", at);
     check_finite_number(record, "ts_s", at);
     check_finite_number(record, "value", at);
     check_finite_number(record, "delta", at);
-  } else if (type->string == "span") {
+  } else if (type->string() == "span") {
     check_nonempty_string(record, "name", at);
     check_nonempty_string(record, "ph", at);
     check_finite_number(record, "ts_s", at);
-  } else if (type->string == "mark") {
+  } else if (type->string() == "mark") {
     check_nonempty_string(record, "name", at);
     check_finite_number(record, "ts_s", at);
   } else {
-    throw Failure{at + " unknown record type '" + type->string + "'"};
+    throw Failure{at + " unknown record type '" + type->string() + "'"};
   }
 }
 
-bool validate_live_text(const std::string& text, std::string* error) {
+bool validate_live_text(std::string_view text, std::string* error) {
   try {
     std::size_t index = 0;
     std::size_t start = 0;
     while (start < text.size()) {
       std::size_t end = text.find('\n', start);
-      if (end == std::string::npos) end = text.size();
-      const std::string line = text.substr(start, end - start);
+      if (end == std::string_view::npos) end = text.size();
+      const std::string_view line = text.substr(start, end - start);
       start = end + 1;
       if (line.empty()) continue;
-      validate_live_record(Parser(line).parse(), index);
+      const std::string at = "line " + std::to_string(index) + ": ";
+      validate_live_record(parse_document(line, at), index);
       ++index;
     }
     check(index > 0, "empty stream (no records)");
     return true;
   } catch (const Failure& f) {
     *error = f.what;
-    return false;
-  } catch (const std::exception& e) {
-    *error = e.what();
     return false;
   }
 }
@@ -455,9 +241,13 @@ int validate_file(const char* path, bool live) {
 int self_test() {
   struct Case {
     const char* name;
-    const char* text;
+    std::string text;
     bool ok;
   };
+  // Nesting far past Json::kMaxDepth must fail cleanly, not overflow the
+  // stack.
+  std::string object_bomb;
+  for (int i = 0; i < 300000; ++i) object_bomb += R"({"a":)";
   const Case cases[] = {
       {"minimal valid",
        R"({"schema":"gsight-bench-report/v1","bench":"x","wall_time_s":0,)"
@@ -497,6 +287,15 @@ int self_test() {
       {"truncated document",
        R"({"schema":"gsight-bench-report/v1","bench":"x")", false},
       {"not json at all", "hello", false},
+      {"nesting bomb", std::string(300000, '['), false},
+      {"plus-signed number",
+       R"({"schema":"gsight-bench-report/v1","bench":"x","wall_time_s":+1,)"
+       R"("results":[]})",
+       false},
+      {"duplicate key",
+       R"({"schema":"gsight-bench-report/v1","bench":"x","bench":"y",)"
+       R"("wall_time_s":0,"results":[]})",
+       false},
   };
   const Case live_cases[] = {
       {"live minimal valid",
@@ -568,6 +367,21 @@ int self_test() {
        R"({"schema":"gsight-live/v1","type":"hello","seq":0,"source":"t"})"
        "\n"
        R"({"type":"blob","seq":1,"ts_s":0,"name":"x"})"
+       "\n",
+       false},
+      {"live nesting bomb",
+       R"({"schema":"gsight-live/v1","type":"hello","seq":0,"source":"t"})"
+       "\n" + object_bomb + "\n",
+       false},
+      {"live plus-signed seq",
+       R"({"schema":"gsight-live/v1","type":"hello","seq":0,"source":"t"})"
+       "\n"
+       R"({"type":"mark","seq":+1,"ts_s":0,"name":"x"})"
+       "\n",
+       false},
+      {"live duplicate key",
+       R"({"schema":"gsight-live/v1","type":"hello","type":"mark","seq":0,)"
+       R"("source":"t"})"
        "\n",
        false},
   };

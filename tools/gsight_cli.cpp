@@ -46,6 +46,7 @@
 #include "core/predictor.hpp"
 #include "core/trainer.hpp"
 #include "ml/forest_io.hpp"
+#include "obs/json.hpp"
 #include "obs/live_stream.hpp"
 #include "obs/run_report.hpp"
 #include "profiling/profile_io.hpp"
@@ -997,7 +998,7 @@ int cmd_tail(int argc, char** argv) {
     ++line_no;
     if (line.empty()) continue;
     std::string error;
-    const auto record = obs::parse_live_line(line, &error);
+    const auto record = obs::Json::parse(line, &error);
     if (!record) {
       std::fprintf(stderr, "%s:%llu: bad record: %s\n", path.c_str(),
                    static_cast<unsigned long long>(line_no), error.c_str());
